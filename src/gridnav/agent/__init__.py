@@ -1,7 +1,7 @@
 """Reinforcement-learning core: replay, policies, update rules, phases."""
 
 from .config import AgentConfig, UpdateRule
-from .learning import compute_targets, sync_target, td_targets, train_step
+from .learning import compute_targets, td_targets, train_step
 from .phases import (
     EpisodeLog,
     ExplorationResult,
@@ -31,7 +31,6 @@ __all__ = [
     "epsilon_greedy",
     "run_exploitation_phase",
     "run_exploration_phase",
-    "sync_target",
     "td_targets",
     "train_step",
     "write_training_log",

@@ -54,6 +54,12 @@ class AgentConfig:
     def bootstrap(self) -> float:
         return self.gamma if self.bootstrap_coefficient is None else self.bootstrap_coefficient
 
+    @property
+    def rule_name(self) -> str:
+        """The CLI's name for the rule: ``drqn<trace length>`` for the
+        recurrent variant, else the update rule's own name."""
+        return self.rule.value if self.trace_length is None else f"drqn{self.trace_length}"
+
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
@@ -64,3 +70,8 @@ class AgentConfig:
             raise ValueError("trace_length must be positive")
         if self.batch_size < 1 or self.replay_capacity < 1:
             raise ValueError("batch_size and replay_capacity must be positive")
+        # update cadences, taken modulo the update or step count
+        for name in ("target_sync_every", "online_train_interval", "exploration_train_interval"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive")

@@ -1,4 +1,4 @@
-"""TD targets for the three update rules, mini-batch training, target sync.
+"""TD targets for the three update rules and mini-batch training.
 
 The rules differ only in how the bootstrap term enters the target:
 
@@ -121,9 +121,9 @@ def train_step(
 ):
     """One mini-batch update of the value network.
 
-    Returns ``(value_net, adam, loss)`` or ``None`` when the buffer cannot
-    yet supply a batch (feedforward) or one full trace (recurrent).  Only
-    the value network receives gradients.
+    Returns ``(value_net, adam, loss)``, or ``None`` without drawing from
+    ``rng`` when the buffer cannot yet supply a batch (feedforward) or one
+    full trace (recurrent).  Only the value network receives gradients.
     """
     if config.trace_length is not None:
         return _train_step_recurrent(buffer, value_net, target_net, adam, config, rng)
@@ -196,10 +196,3 @@ def _train_step_recurrent(
     new_params, new_adam = nn.adam_step(value_net.params, grads, adam)
     return nn.QNetwork(arch=value_net.arch, params=new_params), new_adam, loss
 
-
-def sync_target(value_net: nn.QNetwork, target_net: nn.QNetwork, step: int,
-                every: int = 10) -> nn.QNetwork:
-    """Copy the value net into the target net when ``step`` hits the cadence."""
-    if step % every == 0:
-        return nn.clone_params(value_net)
-    return target_net

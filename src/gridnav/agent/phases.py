@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +55,7 @@ from ..world import (
     step_dynamics,
 )
 from .config import AgentConfig
-from .learning import sync_target, train_step
+from .learning import train_step
 from .policy import PolicyDecision, correct_action, epsilon_greedy
 from .replay import ReplayBuffer, Transition
 
@@ -67,10 +69,6 @@ class NavigationEnv:
     world: World
     start: GridCoord
     goal: GridCoord
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.world.shape
 
 
 @dataclass
@@ -103,6 +101,7 @@ class _Learner:
     adam: nn.AdamState
     buffer: ReplayBuffer
     config: AgentConfig
+    evaluator: _QEvaluator
     train_steps: int = 0
 
     def __post_init__(self) -> None:
@@ -111,19 +110,27 @@ class _Learner:
         self._target_features: dict = {}
 
     def update(self, rng: np.random.Generator) -> float | None:
+        """One mini-batch update, or None when the buffer holds no batch or
+        trace yet (``train_step`` then leaves ``rng`` untouched)."""
         result = train_step(self.buffer, self.value_net, self.target_net, self.adam,
                             self.config, rng,
                             target_feature_cache=self._target_features)
         if result is None:
             return None
         self.value_net, self.adam, loss = result
+        self.evaluator.invalidate()
         self.train_steps += 1
         if self.train_steps % self.config.target_sync_every == 0:
-            self.target_net = sync_target(self.value_net, self.target_net,
-                                          self.train_steps,
-                                          self.config.target_sync_every)
+            self.target_net = nn.clone_params(self.value_net)
             self._target_features.clear()
         return loss
+
+    def update_every(self, step: int, interval: int | None,
+                     rng: np.random.Generator) -> float | None:
+        """:meth:`update` when ``step`` is a multiple of ``interval`` (None: never)."""
+        if interval is None or step % interval:
+            return None
+        return self.update(rng)
 
 
 class _QEvaluator:
@@ -154,6 +161,23 @@ class _QEvaluator:
         return nn.q_from_features(net, feats, raster[None])[0]
 
 
+class _State(NamedTuple):
+    """The agent between two decisions: its decision map, heading and view."""
+
+    local: LocalMap
+    facing: Action
+    frame: np.ndarray | None
+    raster: np.ndarray
+
+    @property
+    def agent(self) -> GridCoord:
+        return self.local.agent_global
+
+    @property
+    def at_target(self) -> bool:
+        return self.local.agent_local == self.local.target_cell
+
+
 def _sensed_local_map(local: LocalMap, world: World, goal: GridCoord
                       ) -> tuple[LocalMap, set[GridCoord]]:
     """Mark freshly sensed obstacles and re-aim the target if it got buried."""
@@ -164,12 +188,69 @@ def _sensed_local_map(local: LocalMap, world: World, goal: GridCoord
     return local, sensed
 
 
+def _spawn(agent: GridCoord, world: World, goal: GridCoord
+           ) -> tuple[LocalMap, set[GridCoord]]:
+    """A fresh decision map around ``agent``, with its first sensing."""
+    return _sensed_local_map(spawn_local_map(agent, goal, world.shape), world, goal)
+
+
+def _transition(learner: _Learner, state: _State, world: World, goal: GridCoord,
+                epsilon: float, correct: bool, render, episode_id: int,
+                rng: np.random.Generator):
+    """One decision of either phase, pushed to the replay buffer.
+
+    Selects epsilon-greedily (with ``correct``, unsafe predictions are
+    replaced by :func:`correct_action`), classifies and rewards the action,
+    then moves, senses and retargets, or voids a hard-constrained action in
+    place.  ``render(agent, facing)`` draws the next frame.  Returns
+    ``(next_state, decision, reward, sensed)``, or None when the agent is
+    boxed in.
+    """
+    local = state.local
+    try:
+        q = learner.evaluator.q_values(learner.value_net, state.frame, state.raster,
+                                       state.agent, state.facing)
+        action, decision = epsilon_greedy(
+            q, valid_action_mask(local), epsilon, rng,
+            literal_branch=learner.config.literal_eq5_branch,
+        )
+        if correct and decision == PolicyDecision.PREDICTED:
+            action, decision = correct_action(local, action)
+    except BoxedInError:
+        return None
+
+    constraint = classify_action(local, action)
+    r = reward(action_destination(local, action), constraint, local, local.target_global)
+    if constraint == ConstraintClass.HARD:
+        nxt, sensed = state, set()
+    else:
+        next_local, sensed = _sensed_local_map(apply_move(local, action), world, goal)
+        nxt = _State(next_local, action, render(next_local.agent_global, action),
+                     render_decision_map(next_local))
+    # terminal at the target cell: inside a decision map the goal is always
+    # the target cell, so this also covers reaching the goal
+    learner.buffer.push(
+        Transition(
+            frame=state.frame,
+            raster=state.raster,
+            action=int(action),
+            reward=r,
+            next_frame=nxt.frame,
+            next_raster=nxt.raster,
+            terminal=nxt.at_target,
+            valid_next=valid_action_mask(nxt.local),
+            episode_id=episode_id,
+            next_key=(nxt.agent, nxt.facing) if learner.evaluator.cacheable else None,
+        )
+    )
+    return nxt, decision, r, sensed
+
+
 def run_exploration_phase(
     env: NavigationEnv,
     config: AgentConfig,
     seed: int,
     arch: nn.ArchitectureSpec | None = None,
-    learner: "_Learner | None" = None,
     progress=None,
 ) -> ExplorationResult:
     """Teleport-mode training until the success streak or the episode cap.
@@ -181,19 +262,19 @@ def run_exploration_phase(
     their penalty).  Mini-batch updates run after each episode.
     """
     rng = np.random.default_rng(seed)
-    if learner is None:
-        if arch is None:
-            arch = nn.ArchitectureSpec(recurrent=config.trace_length is not None)
-        value_net = nn.init_network(arch, seed=seed)
-        learner = _Learner(
-            value_net=value_net,
-            target_net=nn.clone_params(value_net),
-            adam=nn.init_adam(value_net.params, learning_rate=config.learning_rate),
-            buffer=ReplayBuffer(config.replay_capacity),
-            config=config,
-        )
-
+    if arch is None:
+        arch = nn.ArchitectureSpec(recurrent=config.trace_length is not None)
+    value_net = nn.init_network(arch, seed=seed)
     world = env.world
+    learner = _Learner(
+        value_net=value_net,
+        target_net=nn.clone_params(value_net),
+        adam=nn.init_adam(value_net.params, learning_rate=config.learning_rate),
+        buffer=ReplayBuffer(config.replay_capacity),
+        config=config,
+        evaluator=_QEvaluator(cacheable=not world.has_dynamics),
+    )
+
     blocked_world = occupied_cells(world)
     free_cells = [
         GridCoord(r, c)
@@ -204,91 +285,40 @@ def run_exploration_phase(
     if not free_cells:
         raise ValueError("world has no free cell to spawn in")
 
-    use_sequences = config.trace_length is not None
-    frame_size = learner.value_net.arch.frame_size
-    evaluator = _QEvaluator(cacheable=not world.has_dynamics)
+    def render(agent: GridCoord, facing: Action) -> np.ndarray:
+        return render_frame(world, agent, facing, size=arch.frame_size)
+
     logs: list[EpisodeLog] = []
     streak = 0
     converged = False
 
     for episode in range(1, config.max_episodes + 1):
-        agent = free_cells[int(rng.integers(len(free_cells)))]
-        local = spawn_local_map(agent, env.goal, world.shape)
-        local, _ = _sensed_local_map(local, world, env.goal)
-        facing = Action.NORTH
-        frame = render_frame(world, agent, facing, size=frame_size)
-        raster = render_decision_map(local)
-
+        local, _ = _spawn(free_cells[int(rng.integers(len(free_cells)))], world, env.goal)
+        state = _State(local, Action.NORTH, render(local.agent_global, Action.NORTH),
+                       render_decision_map(local))
         reward_sum = 0.0
-        success = local.agent_local == local.target_cell
         steps = 0
         losses = []
-        for _ in range(config.max_steps_per_episode):
-            if success:
-                break
+        while not state.at_target and steps < config.max_steps_per_episode:
             steps += 1
-            try:
-                q = evaluator.q_values(learner.value_net, frame, raster, agent, facing)
-                action, _ = epsilon_greedy(
-                    q, valid_action_mask(local), config.epsilon_train, rng,
-                    literal_branch=config.literal_eq5_branch,
-                )
-            except BoxedInError:
+            step = _transition(learner, state, world, env.goal, config.epsilon_train,
+                               correct=False, render=render, episode_id=episode, rng=rng)
+            if step is None:
                 break
-
-            constraint = classify_action(local, action)
-            dest = action_destination(local, action)
-            r = reward(dest, constraint, local, local.target_global)
+            state, _, r, _ = step
             reward_sum += r
-
-            if constraint == ConstraintClass.HARD:
-                next_local, next_agent, next_facing = local, agent, facing
-                next_frame, next_raster = frame, raster
-            else:
-                next_local = apply_move(local, action)
-                next_agent = next_local.agent_global
-                next_facing = action
-                next_local, _ = _sensed_local_map(next_local, world, env.goal)
-                next_frame = render_frame(world, next_agent, next_facing, size=frame_size)
-                next_raster = render_decision_map(next_local)
-
-            success = next_local.agent_local == next_local.target_cell
-            learner.buffer.push(
-                Transition(
-                    frame=frame,
-                    raster=raster,
-                    action=int(action),
-                    reward=r,
-                    gamma=config.gamma,
-                    next_frame=next_frame,
-                    next_raster=next_raster,
-                    terminal=success,
-                    valid_next=valid_action_mask(next_local),
-                    episode_id=episode,
-                    next_key=(next_agent, next_facing) if evaluator.cacheable else None,
-                )
-            )
-            local, agent, facing = next_local, next_agent, next_facing
-            frame, raster = next_frame, next_raster
-
             # mid-episode updates keep a stalled greedy policy from wasting
             # the whole episode on a wall it has not yet been punished for
-            if (config.exploration_train_interval is not None
-                    and steps % config.exploration_train_interval == 0
-                    and (not use_sequences
-                         or learner.buffer.sequence_starts(config.trace_length))):
-                loss = learner.update(rng)
-                if loss is not None:
-                    losses.append(loss)
-                    evaluator.invalidate()
+            loss = learner.update_every(steps, config.exploration_train_interval, rng)
+            if loss is not None:
+                losses.append(loss)
 
+        success = state.at_target
         streak = streak + 1 if success else 0
-        if not use_sequences or learner.buffer.sequence_starts(config.trace_length):
-            for _ in range(config.train_steps_per_episode):
-                loss = learner.update(rng)
-                if loss is not None:
-                    losses.append(loss)
-                    evaluator.invalidate()
+        for _ in range(config.train_steps_per_episode):
+            loss = learner.update(rng)
+            if loss is not None:
+                losses.append(loss)
         logs.append(
             EpisodeLog(
                 episode=episode,
@@ -354,7 +384,6 @@ def run_exploitation_phase(
     weather: WeatherCondition = CLEAR,
     buffer: ReplayBuffer | None = None,
     step_budget: int | None = None,
-    method: str = "",
 ) -> ExploitationResult:
     """Fly one continuous mission with online learning.
 
@@ -366,128 +395,77 @@ def run_exploitation_phase(
     """
     rng = np.random.default_rng(seed)
     budget = config.mission_step_budget if step_budget is None else step_budget
-    if buffer is None:
-        buffer = ReplayBuffer(config.replay_capacity)
+    world = env.world
+    # Dust and snow speckle changes every step, so trunk features are only
+    # reusable under clear skies or fog over a static world.
+    cacheable = not world.has_dynamics and weather.kind in (WeatherKind.CLEAR, WeatherKind.FOG)
     learner = _Learner(
         value_net=value_net,
         target_net=target_net,
         adam=adam,
-        buffer=buffer,
+        buffer=ReplayBuffer(config.replay_capacity) if buffer is None else buffer,
         config=config,
+        evaluator=_QEvaluator(cacheable=cacheable),
     )
-    world = env.world
     global_map = new_global_map(world.shape[1], world.shape[0], env.start, env.goal)
 
-    agent = env.start
-    facing = Action.NORTH
-    local = spawn_local_map(agent, env.goal, world.shape)
-    local, sensed = _sensed_local_map(local, world, env.goal)
+    def observe(agent: GridCoord, facing: Action, step: int) -> np.ndarray:
+        """The weathered frame seen at the start of decision ``step``."""
+        frame = render_frame(world, agent, facing, size=value_net.arch.frame_size)
+        return apply_weather(frame, weather, rng_seed=seed + step)
+
+    local, sensed = _spawn(env.start, world, env.goal)
     obstacles_seen: set[GridCoord] = set(sensed)
-
-    # Dust and snow speckle changes every step, so trunk features are only
-    # reusable under clear skies or fog over a static world.
-    cacheable = not world.has_dynamics and weather.kind in (WeatherKind.CLEAR, WeatherKind.FOG)
-    frame_size = learner.value_net.arch.frame_size
-    evaluator = _QEvaluator(cacheable=cacheable)
-
-    route = [agent]
+    state = _State(local, Action.NORTH, None, render_decision_map(local))
+    route = [env.start]
     counts = {PolicyDecision.PREDICTED: 0, PolicyDecision.CORRECTED: 0, PolicyDecision.RANDOM: 0}
-    completed = False
     episode_id = 0
-    use_sequences = config.trace_length is not None
-
-    def make_report(steps_taken: int) -> MissionReport:
-        return MissionReport(
-            completed=completed,
-            distance_m=math.dist(env.start, env.goal),
-            time_s=steps_taken,
-            obstacles=len(obstacles_seen),
-            predictions=counts[PolicyDecision.PREDICTED],
-            corrections=counts[PolicyDecision.CORRECTED],
-            random=counts[PolicyDecision.RANDOM],
-            route=route,
-            method=method,
-            domain=world.spec.domain.value,
-            weather_kind=weather.kind.value,
-            weather_intensity=weather.intensity,
-        )
 
     steps = 0
-    while steps < budget:
-        if agent == env.goal:
-            completed = True
-            break
+    while steps < budget and state.agent != env.goal:
         steps += 1
         if world.has_dynamics:
             world = step_dynamics(world, 1.0)
-        frame = apply_weather(render_frame(world, agent, facing, size=frame_size),
-                              weather, rng_seed=seed + steps)
-        raster = render_decision_map(local)
-        try:
-            q = evaluator.q_values(learner.value_net, frame, raster, agent, facing)
-            action, decision = epsilon_greedy(
-                q, valid_action_mask(local), config.epsilon_test, rng,
-                literal_branch=config.literal_eq5_branch,
-            )
-            if decision == PolicyDecision.PREDICTED:
-                action, decision = correct_action(local, action)
-        except BoxedInError:
+            state = state._replace(frame=None)  # it showed the world before this move
+        if state.frame is None:
+            state = state._replace(frame=observe(state.agent, state.facing, steps))
+        step = _transition(learner, state, world, env.goal, config.epsilon_test,
+                           correct=True, episode_id=episode_id, rng=rng,
+                           render=partial(observe, step=steps + 1))
+        if step is None:
             steps -= 1
             break
-
-        constraint = classify_action(local, action)
-        dest = action_destination(local, action)
-        r = reward(dest, constraint, local, local.target_global)
+        state, decision, _, sensed = step
         counts[decision] += 1
-
-        next_local = apply_move(local, action)
-        agent = next_local.agent_global
-        facing = action
-        next_local, sensed = _sensed_local_map(next_local, world, env.goal)
         obstacles_seen.update(sensed)
-        route.append(agent)
+        route.append(state.agent)
 
-        reached_target = next_local.agent_local == next_local.target_cell
-        terminal = reached_target or agent == env.goal
-        next_frame = apply_weather(render_frame(world, agent, facing, size=frame_size),
-                                   weather, rng_seed=seed + steps + 1)
-        learner.buffer.push(
-            Transition(
-                frame=frame,
-                raster=raster,
-                action=int(action),
-                reward=r,
-                gamma=config.gamma,
-                next_frame=next_frame,
-                next_raster=render_decision_map(next_local),
-                terminal=terminal,
-                valid_next=valid_action_mask(next_local),
-                episode_id=episode_id,
-                next_key=(agent, facing) if cacheable else None,
-            )
-        )
-
-        local = next_local
-        if reached_target:
-            global_map = merge_into_global(global_map, local)
+        if state.at_target:
+            global_map = merge_into_global(global_map, state.local)
             episode_id += 1
-            if agent != env.goal:
-                local = spawn_local_map(agent, env.goal, world.shape)
-                local, sensed = _sensed_local_map(local, world, env.goal)
+            if state.agent != env.goal:
+                local, sensed = _spawn(state.agent, world, env.goal)
                 obstacles_seen.update(sensed)
+                state = state._replace(local=local, raster=render_decision_map(local))
 
-        if steps % config.online_train_interval == 0:
-            if not use_sequences or learner.buffer.sequence_starts(config.trace_length):
-                loss = learner.update(rng)
-                if loss is not None:
-                    evaluator.invalidate()
+        learner.update_every(steps, config.online_train_interval, rng)
 
-        if agent == env.goal:
-            completed = True
-            break
-
+    report = MissionReport(
+        completed=state.agent == env.goal,
+        distance_m=math.dist(env.start, env.goal),
+        time_s=steps,
+        obstacles=len(obstacles_seen),
+        predictions=counts[PolicyDecision.PREDICTED],
+        corrections=counts[PolicyDecision.CORRECTED],
+        random=counts[PolicyDecision.RANDOM],
+        route=route,
+        method=config.rule_name,
+        domain=world.spec.domain.value,
+        weather_kind=weather.kind.value,
+        weather_intensity=weather.intensity,
+    )
     return ExploitationResult(
-        report=make_report(steps),
+        report=report,
         value_net=learner.value_net,
         target_net=learner.target_net,
         adam=learner.adam,

@@ -35,7 +35,6 @@ def epsilon_greedy(
     valid_actions: np.ndarray,
     epsilon: float,
     rng: np.random.Generator,
-    restrict_greedy: bool = False,
     literal_branch: bool = False,
 ) -> tuple[Action, PolicyDecision]:
     """Pick an action from a 4-vector of Q-values.
@@ -44,8 +43,7 @@ def epsilon_greedy(
     otherwise the greedy argmax is returned (ties broken in the fixed
     N, S, E, W order).  The greedy branch deliberately ranges over all four
     actions so that unsafe predictions surface and can be voided or
-    corrected downstream; ``restrict_greedy`` masks them out instead.
-    ``literal_branch`` swaps which side of the draw is greedy.
+    corrected downstream.  ``literal_branch`` swaps which side of the draw is greedy.
     """
     valid_actions = np.asarray(valid_actions, dtype=bool)
     if valid_actions.shape != (len(ACTIONS),):
@@ -59,10 +57,7 @@ def epsilon_greedy(
         choice = rng.choice(np.flatnonzero(valid_actions))
         return Action(int(choice)), PolicyDecision.RANDOM
 
-    q = np.asarray(q_values, dtype=float)
-    if restrict_greedy:
-        q = np.where(valid_actions, q, -np.inf)
-    return Action(int(np.argmax(q))), PolicyDecision.PREDICTED
+    return Action(int(np.argmax(np.asarray(q_values, dtype=float)))), PolicyDecision.PREDICTED
 
 
 def correct_action(

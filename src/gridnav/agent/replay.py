@@ -20,7 +20,6 @@ class Transition:
     raster: np.ndarray
     action: int
     reward: float
-    gamma: float
     next_frame: np.ndarray
     next_raster: np.ndarray
     terminal: bool

@@ -14,12 +14,10 @@ the episode cap without converging.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 
-from . import nn
 from .agent import AgentConfig, NavigationEnv, UpdateRule, run_exploration_phase, \
     write_training_log
 from .harness import (
@@ -52,28 +50,19 @@ EXIT_USAGE = 2
 EXIT_EPISODE_CAP = 3
 
 
+#: AgentConfig's fields, file- and flag-addressable by the same names, except
+#: that ``rule`` holds the CLI rule name: ``drqn100`` and ``drqn1000`` select
+#: DQN over the recurrent network and set ``trace_length``.
+_AgentFields = make_dataclass("_AgentFields", [
+    (f.name, "str", f.default.value) if f.name == "rule" else (f.name, f.type, f.default)
+    for f in fields(AgentConfig) if f.name != "trace_length"
+])
+
+
 @dataclass
-class RunConfig:
+class RunConfig(_AgentFields):
     """Every tunable of the workbench, file- and flag-addressable by name."""
 
-    # agent hyper-parameters
-    epsilon_train: float = 0.1
-    epsilon_test: float = 0.05
-    gamma: float = 0.95
-    replay_capacity: int = 800
-    target_sync_every: int = 10
-    learning_rate: float = 0.001
-    batch_size: int = 32
-    rule: str = "eddqn"
-    max_episodes: int = 1500
-    success_streak: int = 50
-    max_steps_per_episode: int = 150
-    mission_step_budget: int = 5000
-    train_steps_per_episode: int = 1
-    exploration_train_interval: int | None = 25
-    online_train_interval: int = 1
-    bootstrap_coefficient: float | None = None
-    literal_eq5_branch: bool = False
     # world
     domain: str = "forest"
     world_width: int = 100
@@ -104,33 +93,13 @@ class RunConfig:
     decay_gamma: float = 0.95
 
     def agent_config(self) -> AgentConfig:
+        values = {f.name: getattr(self, f.name) for f in fields(_AgentFields)}
         rule = self.rule.lower()
-        trace = None
         if rule.startswith("drqn"):
-            trace = int(rule[len("drqn"):])
-            base_rule = UpdateRule.DQN
+            values.update(rule=UpdateRule.DQN, trace_length=int(rule[len("drqn"):]))
         else:
-            base_rule = UpdateRule(rule)
-        return AgentConfig(
-            epsilon_train=self.epsilon_train,
-            epsilon_test=self.epsilon_test,
-            gamma=self.gamma,
-            replay_capacity=self.replay_capacity,
-            target_sync_every=self.target_sync_every,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            rule=base_rule,
-            trace_length=trace,
-            max_episodes=self.max_episodes,
-            success_streak=self.success_streak,
-            max_steps_per_episode=self.max_steps_per_episode,
-            mission_step_budget=self.mission_step_budget,
-            train_steps_per_episode=self.train_steps_per_episode,
-            exploration_train_interval=self.exploration_train_interval,
-            online_train_interval=self.online_train_interval,
-            bootstrap_coefficient=self.bootstrap_coefficient,
-            literal_eq5_branch=self.literal_eq5_branch,
-        )
+            values["rule"] = UpdateRule(rule)
+        return AgentConfig(**values)
 
     def world_spec(self) -> WorldSpec:
         return WorldSpec(
@@ -194,7 +163,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             values[key] = flag
     if "seed" not in values and os.environ.get("NAV_SEED"):
         values["seed"] = int(os.environ["NAV_SEED"])
-    return RunConfig(**values)
+    config = RunConfig(**values)
+    config.agent_config()  # rejects bad agent values before any command runs
+    return config
 
 
 def dump_effective_config(config: RunConfig, path) -> None:
@@ -238,12 +209,11 @@ def cmd_generate_world(config: RunConfig) -> int:
 
 def cmd_train(config: RunConfig) -> int:
     out = _ensure_out(config)
+    start, goal = _default_endpoints(config)
     if config.world_file:
         world = load_world(config.world_file)
     else:
-        start, goal = _default_endpoints(config)
         world = generate_world(config.world_spec(), start=start, goal=goal)
-    start, goal = _default_endpoints(config)
     env = NavigationEnv(world=world, start=start, goal=goal)
     agent_config = config.agent_config()
 

@@ -44,7 +44,7 @@ class AgentCheckpoint:
 
     def save(self, path) -> None:
         nn.save_checkpoint(path, self.value_net, self.adam,
-                           extra={"rule": self.config.rule.value})
+                           extra={"rule": self.config.rule_name})
 
     @staticmethod
     def load(path, config: AgentConfig) -> "AgentCheckpoint":
@@ -82,7 +82,6 @@ class MissionSpec:
 def run_mission(
     spec: MissionSpec,
     checkpoint: AgentCheckpoint,
-    method: str = "",
     step_budget: int | None = None,
 ) -> tuple[MissionReport, AgentCheckpoint, "agent_phases.NavigationEnv"]:
     """Fly one mission; returns the report, the updated checkpoint, and the
@@ -98,7 +97,6 @@ def run_mission(
         seed=spec.seed,
         weather=spec.weather,
         step_budget=step_budget,
-        method=method or checkpoint.config.rule.value,
     )
     updated = AgentCheckpoint(
         value_net=result.value_net,

@@ -129,17 +129,6 @@ def dense_backward(dout: np.ndarray, x: np.ndarray, weight: np.ndarray):
     return dx, dw, db
 
 
-def dropout_forward(x: np.ndarray, rate: float, seed: int):
-    """Inverted dropout; deterministic for a given seed."""
-    rng = np.random.default_rng(seed)
-    mask = (rng.random(x.shape) >= rate).astype(x.dtype) / x.dtype.type(1.0 - rate)
-    return x * mask, mask
-
-
-def dropout_backward(dout: np.ndarray, mask: np.ndarray):
-    return dout * mask
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0

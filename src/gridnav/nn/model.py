@@ -16,9 +16,7 @@ double the wall time.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -59,33 +57,13 @@ class ArchitectureSpec:
         return self.image_features + self.map_features
 
     def to_dict(self) -> dict:
-        return {
-            "frame_size": self.frame_size,
-            "conv_channels": list(self.conv_channels),
-            "conv_kernels": list(self.conv_kernels),
-            "dense1_units": self.dense1_units,
-            "image_features": self.image_features,
-            "map_cells": self.map_cells,
-            "map_features": self.map_features,
-            "num_actions": self.num_actions,
-            "dropout_rate": self.dropout_rate,
-            "recurrent": self.recurrent,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "ArchitectureSpec":
-        return ArchitectureSpec(
-            frame_size=int(doc["frame_size"]),
-            conv_channels=tuple(doc["conv_channels"]),
-            conv_kernels=tuple(doc["conv_kernels"]),
-            dense1_units=int(doc["dense1_units"]),
-            image_features=int(doc["image_features"]),
-            map_cells=int(doc["map_cells"]),
-            map_features=int(doc["map_features"]),
-            num_actions=int(doc["num_actions"]),
-            dropout_rate=float(doc["dropout_rate"]),
-            recurrent=bool(doc["recurrent"]),
-        )
+        # each field's default fixes its type: JSON lists become tuples
+        return ArchitectureSpec(**{f.name: type(f.default)(doc[f.name])
+                                   for f in fields(ArchitectureSpec)})
 
 
 @dataclass
@@ -197,15 +175,25 @@ def _trunk_backward(net: QNetwork, dimg: np.ndarray, cache, grads: dict[str, np.
     grads["conv1_b"] += db
 
 
+def _trunk(net: QNetwork, frames: np.ndarray, drop_mask: np.ndarray | None,
+           want_cache: bool):
+    """Image trunk over ``_CHUNK``-row chunks: (B, image_features) and the
+    per-chunk caches."""
+    imgs = []
+    chunk_caches = []
+    for s in range(0, frames.shape[0], _CHUNK):
+        chunk_drop = drop_mask[s : s + _CHUNK] if drop_mask is not None else None
+        img, cache = _trunk_forward(net, frames[s : s + _CHUNK], chunk_drop, want_cache)
+        imgs.append(img)
+        chunk_caches.append(cache)
+    return np.concatenate(imgs, axis=0), chunk_caches
+
+
 def image_features(net: QNetwork, frames: np.ndarray) -> np.ndarray:
     """Eval-mode trunk output, (B, image_features).  Cacheable per frame."""
     dtype = net.params["head_w"].dtype
-    frames = np.ascontiguousarray(frames, dtype=dtype)
-    outs = []
-    for s in range(0, frames.shape[0], _CHUNK):
-        img, _ = _trunk_forward(net, frames[s : s + _CHUNK], None, want_cache=False)
-        outs.append(img)
-    return np.concatenate(outs, axis=0)
+    img, _ = _trunk(net, np.ascontiguousarray(frames, dtype=dtype), None, want_cache=False)
+    return img
 
 
 def _map_branch(net: QNetwork, rasters: np.ndarray):
@@ -213,6 +201,38 @@ def _map_branch(net: QNetwork, rasters: np.ndarray):
     zm, _ = layers.dense_forward(rasters, p["map_w"], p["map_b"])
     m, _ = layers.prelu_forward(zm, p["map_slope"])
     return m, zm
+
+
+def _features_forward(net: QNetwork, frames: np.ndarray, rasters: np.ndarray, mode: str,
+                      dropout_seed: int, want_cache: bool):
+    """Trunk plus map branch: the (B, feature_width) rows the head or the LSTM
+    reads, and the ``(chunk_caches, rasters, zm)`` cache of
+    :func:`_features_backward`.  ``frames`` and ``rasters`` are flat batches
+    already in the parameter dtype."""
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    drop = (_dropout_mask(net.arch, frames.shape[0], dropout_seed, frames.dtype)
+            if mode == "train" else None)
+    img, chunk_caches = _trunk(net, frames, drop, want_cache)
+    m, zm = _map_branch(net, rasters)
+    return np.concatenate([img, m], axis=1), (chunk_caches, rasters, zm)
+
+
+def _features_backward(net: QNetwork, cache, dfeats: np.ndarray,
+                       grads: dict[str, np.ndarray]) -> None:
+    """Accumulate the map-branch and trunk gradients of :func:`_features_forward`."""
+    chunk_caches, rasters, zm = cache
+    p = net.params
+    nimg = net.arch.image_features
+    dimg = dfeats[:, :nimg]
+    dm = dfeats[:, nimg:]
+    dzm, dslope = layers.prelu_backward(dm, zm, p["map_slope"])
+    grads["map_slope"] += dslope
+    _, dw, db = layers.dense_backward(dzm, rasters, p["map_w"])
+    grads["map_w"] += dw
+    grads["map_b"] += db
+    for n, chunk in enumerate(chunk_caches):
+        _trunk_backward(net, dimg[n * _CHUNK : n * _CHUNK + _CHUNK], chunk, grads)
 
 
 def q_from_features(net: QNetwork, img_feats: np.ndarray, rasters: np.ndarray) -> np.ndarray:
@@ -236,8 +256,6 @@ def forward(net: QNetwork, frames: np.ndarray, rasters: np.ndarray, mode: str = 
 def forward_cached(net: QNetwork, frames: np.ndarray, rasters: np.ndarray, mode: str = "eval",
                    dropout_seed: int = 0, want_cache: bool = True):
     """Forward pass retaining per-chunk caches for :func:`backward`."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if net.arch.recurrent:
         raise ValueError("use forward_sequence for recurrent networks")
     dtype = net.params["head_w"].dtype
@@ -248,23 +266,9 @@ def forward_cached(net: QNetwork, frames: np.ndarray, rasters: np.ndarray, mode:
     if rasters.shape[1:] != (net.arch.map_cells,):
         raise ValueError(f"raster batch shape {rasters.shape} does not match architecture")
 
-    batch = frames.shape[0]
-    drop = _dropout_mask(net.arch, batch, dropout_seed, dtype) if mode == "train" else None
-
-    imgs = []
-    chunk_caches = []
-    for s in range(0, batch, _CHUNK):
-        chunk_drop = drop[s : s + _CHUNK] if drop is not None else None
-        img, cache = _trunk_forward(net, frames[s : s + _CHUNK], chunk_drop, want_cache)
-        imgs.append(img)
-        chunk_caches.append(cache)
-    img_all = np.concatenate(imgs, axis=0)
-
-    m, zm = _map_branch(net, rasters)
-    cat = np.concatenate([img_all, m], axis=1)
+    cat, feat_cache = _features_forward(net, frames, rasters, mode, dropout_seed, want_cache)
     q, _ = layers.dense_forward(cat, net.params["head_w"], net.params["head_b"])
-    cache = (chunk_caches, rasters, zm, cat) if want_cache else None
-    return q, cache
+    return q, (*feat_cache, cat) if want_cache else None
 
 
 def zero_grads(net: QNetwork) -> dict[str, np.ndarray]:
@@ -273,25 +277,12 @@ def zero_grads(net: QNetwork) -> dict[str, np.ndarray]:
 
 def backward(net: QNetwork, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss with upstream derivative ``dq`` on the Q output."""
-    chunk_caches, rasters, zm, cat = cache
-    p = net.params
+    *feat_cache, cat = cache
     grads = zero_grads(net)
-
-    dcat, dw, db = layers.dense_backward(dq, cat, p["head_w"])
+    dcat, dw, db = layers.dense_backward(dq, cat, net.params["head_w"])
     grads["head_w"] += dw
     grads["head_b"] += db
-
-    nimg = net.arch.image_features
-    dimg = dcat[:, :nimg]
-    dm = dcat[:, nimg:]
-    dzm, dslope = layers.prelu_backward(dm, zm, p["map_slope"])
-    grads["map_slope"] += dslope
-    _, dw, db = layers.dense_backward(dzm, rasters, p["map_w"])
-    grads["map_w"] += dw
-    grads["map_b"] += db
-
-    for n, chunk in enumerate(chunk_caches):
-        _trunk_backward(net, dimg[n * _CHUNK : n * _CHUNK + _CHUNK], chunk, grads)
+    _features_backward(net, feat_cache, dcat, grads)
     return grads
 
 
@@ -316,18 +307,9 @@ def forward_sequence(net: QNetwork, frames: np.ndarray, rasters: np.ndarray,
     frames = np.ascontiguousarray(frames, dtype=dtype).reshape(t_len * batch, *frames.shape[2:])
     rasters = np.ascontiguousarray(rasters, dtype=dtype).reshape(t_len * batch, -1)
 
-    drop = (_dropout_mask(net.arch, t_len * batch, dropout_seed, dtype)
-            if mode == "train" else None)
-    imgs = []
-    chunk_caches = []
-    for s in range(0, t_len * batch, _CHUNK):
-        chunk_drop = drop[s : s + _CHUNK] if drop is not None else None
-        img, cache = _trunk_forward(net, frames[s : s + _CHUNK], chunk_drop, want_cache=True)
-        imgs.append(img)
-        chunk_caches.append(cache)
-    img_all = np.concatenate(imgs, axis=0)
-    m, zm = _map_branch(net, rasters)
-    feats = np.concatenate([img_all, m], axis=1).reshape(t_len, batch, -1)
+    feats, feat_cache = _features_forward(net, frames, rasters, mode, dropout_seed,
+                                          want_cache=True)
+    feats = feats.reshape(t_len, batch, -1)
 
     width = net.arch.feature_width
     if hidden is None:
@@ -341,13 +323,13 @@ def forward_sequence(net: QNetwork, frames: np.ndarray, rasters: np.ndarray,
     rh, rh_mask = layers.relu_forward(hs.reshape(t_len * batch, width))
     q, _ = layers.dense_forward(rh, net.params["head_w"], net.params["head_b"])
     q = q.reshape(t_len, batch, -1)
-    cache = (chunk_caches, rasters, zm, lstm_cache, rh, rh_mask, (t_len, batch))
+    cache = (*feat_cache, lstm_cache, rh, rh_mask, (t_len, batch))
     return q, (h_t, c_t), cache
 
 
 def backward_sequence(net: QNetwork, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients for :func:`forward_sequence`; ``dq`` is (T, B, num_actions)."""
-    chunk_caches, rasters, zm, lstm_cache, rh, rh_mask, (t_len, batch) = cache
+    *feat_cache, lstm_cache, rh, rh_mask, (t_len, batch) = cache
     p = net.params
     grads = zero_grads(net)
     width = net.arch.feature_width
@@ -364,16 +346,5 @@ def backward_sequence(net: QNetwork, cache, dq: np.ndarray) -> dict[str, np.ndar
     grads["lstm_wx"] += dwx
     grads["lstm_wh"] += dwh
     grads["lstm_b"] += dbl
-
-    dfeats = dfeats.reshape(t_len * batch, width)
-    nimg = net.arch.image_features
-    dimg = dfeats[:, :nimg]
-    dm = dfeats[:, nimg:]
-    dzm, dslope = layers.prelu_backward(dm, zm, p["map_slope"])
-    grads["map_slope"] += dslope
-    _, dw, db = layers.dense_backward(dzm, rasters, p["map_w"])
-    grads["map_w"] += dw
-    grads["map_b"] += db
-    for n, chunk in enumerate(chunk_caches):
-        _trunk_backward(net, dimg[n * _CHUNK : n * _CHUNK + _CHUNK], chunk, grads)
+    _features_backward(net, feat_cache, dfeats.reshape(t_len * batch, width), grads)
     return grads

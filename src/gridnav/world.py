@@ -428,14 +428,3 @@ def load_world(path) -> World:
     with open(path, "r", encoding="utf-8") as fh:
         return world_from_dict(json.load(fh))
 
-
-def frame_to_pgm(frame: np.ndarray) -> bytes:
-    """8-bit binary PGM with value = round((p + 1) * 127.5), for debugging."""
-    levels = np.clip(np.round((frame + 1.0) * 127.5), 0, 255).astype(np.uint8)
-    header = f"P5\n{frame.shape[1]} {frame.shape[0]}\n255\n".encode("ascii")
-    return header + levels.tobytes()
-
-
-def save_frame_pgm(frame: np.ndarray, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(frame_to_pgm(frame))

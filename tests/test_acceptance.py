@@ -2,8 +2,7 @@
 
 Each test prints a ``ACCEPTANCE n (<name>): PASS`` line once its assertions
 hold (run with ``-s`` or ``-rP`` to see them); a failing criterion fails
-its test in the usual pytest way.  The two training-scale criteria at the
-bottom dominate the runtime and print per-seed progress.
+its test in the usual pytest way.
 """
 
 import math

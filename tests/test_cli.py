@@ -4,6 +4,7 @@ import os
 import pytest
 
 from gridnav.cli import EXIT_EPISODE_CAP, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from gridnav.nn import load_checkpoint
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -95,6 +96,20 @@ class TestConfigHandling:
         assert (out1 / "decay.csv").read_bytes() == (out2 / "decay.csv").read_bytes()
 
 
+    @pytest.mark.parametrize("key, value", [("target_sync_every", 0),
+                                            ("online_train_interval", 0),
+                                            ("exploration_train_interval", 0),
+                                            ("gamma", 2)])
+    def test_bad_agent_value_is_a_usage_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "cfg", **{**TINY_TRAIN, key: value})
+        out = tmp_path / "o"
+        code = run_cli("train", "--config", cfg, "--seed", "1", "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert "Traceback" not in err
+        assert not out.exists()  # rejected before the run starts
+
 class TestTrain:
     def test_cap_hit_returns_distinct_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "cfg", **TINY_TRAIN)
@@ -152,6 +167,21 @@ class TestTrain:
                        "--out", str(tmp_path / "o"))
         assert code == EXIT_EPISODE_CAP
 
+
+    def test_drqn_runs_record_their_rule(self, tmp_path):
+        train_out = tmp_path / "t"
+        code = run_cli("train", "--config", write_config(tmp_path / "cfg", **TINY_TRAIN),
+                       "--rule", "drqn100", "--seed", "1", "--out", str(train_out))
+        assert code == EXIT_EPISODE_CAP
+        _, _, extra = load_checkpoint(train_out / "checkpoint.npz")
+        assert extra["rule"] == "drqn100"
+        out = tmp_path / "e"
+        code = run_cli("evaluate", "--config", write_config(tmp_path / "ecfg", **EVAL_KEYS),
+                       "--rule", "drqn100", "--checkpoint", str(train_out / "checkpoint.npz"),
+                       "--missions", "1,1:8,8", "--seed", "2", "--out", str(out))
+        assert code == EXIT_OK
+        report = json.loads((out / "missions.json").read_text())["reports"][0]
+        assert report["method"] == "drqn100"
 
 @pytest.fixture(scope="module")
 def trained_tiny(tmp_path_factory):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridnav.nn import layers
+from gridnav.nn.model import ArchitectureSpec, _dropout_mask
 
 EPS = 1e-5
 TOL = 1e-4
@@ -140,20 +141,16 @@ def test_dense_gradients():
 
 
 def test_dropout_is_seeded_and_inverted():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((200, 50))
-    a, mask_a = layers.dropout_forward(x, 0.5, seed=7)
-    b, _ = layers.dropout_forward(x, 0.5, seed=7)
-    c, _ = layers.dropout_forward(x, 0.5, seed=8)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    kept = mask_a > 0
-    assert np.allclose(a[kept], x[kept] * 2.0)  # inverted scaling at rate 0.5
-    assert np.all(a[~kept] == 0)
+    arch = ArchitectureSpec(dense1_units=50)  # dropout_rate 0.5
+    dtype = np.dtype(np.float64)
+    mask = _dropout_mask(arch, 200, seed=7, dtype=dtype)
+    assert mask.shape == (200, 50) and mask.dtype == dtype
+    assert np.array_equal(mask, _dropout_mask(arch, 200, seed=7, dtype=dtype))
+    assert not np.array_equal(mask, _dropout_mask(arch, 200, seed=8, dtype=dtype))
+    kept = mask > 0
+    assert np.all(mask[kept] == 2.0)  # inverted scaling at rate 0.5
+    assert np.all(mask[~kept] == 0)
     assert abs(kept.mean() - 0.5) < 0.02
-
-    dout = rng.standard_normal(x.shape)
-    assert np.array_equal(layers.dropout_backward(dout, mask_a), dout * mask_a)
 
 
 def test_lstm_gradients():

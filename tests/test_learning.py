@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gridnav import nn
-from gridnav.agent import AgentConfig, UpdateRule, sync_target, td_targets, train_step
+from gridnav.agent import AgentConfig, UpdateRule, td_targets, train_step
+from gridnav.agent.phases import _Learner, _QEvaluator
 from gridnav.agent.replay import ReplayBuffer, Transition
 
 ALL_VALID = np.ones((1, 4), dtype=bool)
@@ -102,7 +103,7 @@ def fill_buffer(net, arch, count, rng, terminal_reward=None):
         else:
             r = terminal_reward
         buf.push(Transition(frame=frame, raster=raster, action=action, reward=r,
-                            gamma=0.95, next_frame=frame, next_raster=raster,
+                            next_frame=frame, next_raster=raster,
                             terminal=True, valid_next=np.ones(4, dtype=bool),
                             episode_id=i))
     return buf
@@ -176,7 +177,7 @@ class TestTrainStep:
                 raster = rng.uniform(-1, 1, arch.map_cells)
                 buf.push(Transition(frame=frame.astype(np.float32),
                                     raster=raster.astype(np.float32),
-                                    action=0, reward=-0.04, gamma=0.95,
+                                    action=0, reward=-0.04,
                                     next_frame=frame.astype(np.float32),
                                     next_raster=raster.astype(np.float32),
                                     terminal=False,
@@ -190,7 +191,7 @@ class TestTrainStep:
             raster = rng.uniform(-1, 1, arch.map_cells)
             buf.push(Transition(frame=frame.astype(np.float32),
                                 raster=raster.astype(np.float32),
-                                action=i % 4, reward=-0.04, gamma=0.95,
+                                action=i % 4, reward=-0.04,
                                 next_frame=frame.astype(np.float32),
                                 next_raster=raster.astype(np.float32),
                                 terminal=False, valid_next=np.ones(4, dtype=bool),
@@ -206,18 +207,20 @@ class TestTrainStep:
 class TestSyncTarget:
     def test_copy_happens_on_the_cadence(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=5)
-        target = nn.init_network(tiny_arch, seed=6)
-        synced = sync_target(net, target, step=10, every=10)
+        rng = np.random.default_rng(5)
+        first_target = nn.init_network(tiny_arch, seed=6)
+        learner = _Learner(value_net=net, target_net=first_target,
+                           adam=nn.init_adam(net.params),
+                           buffer=fill_buffer(net, tiny_arch, 4, rng, terminal_reward=1.0),
+                           config=AgentConfig(batch_size=2, target_sync_every=3),
+                           evaluator=_QEvaluator(cacheable=True))
+        for _ in range(2):
+            assert learner.update(rng) is not None
+            assert learner.target_net is first_target
+        assert learner.update(rng) is not None
+        synced = learner.target_net
+        assert synced is not learner.value_net
         for key in net.params:
-            assert np.array_equal(synced.params[key], net.params[key])
-
-    def test_off_cadence_returns_the_old_target(self, tiny_arch):
-        net = nn.init_network(tiny_arch, seed=5)
-        target = nn.init_network(tiny_arch, seed=6)
-        assert sync_target(net, target, step=7, every=10) is target
-
-    def test_synced_copy_is_isolated(self, tiny_arch):
-        net = nn.init_network(tiny_arch, seed=5)
-        synced = sync_target(net, nn.init_network(tiny_arch, seed=6), step=20, every=10)
-        net.params["head_b"] += 1.0
-        assert np.all(synced.params["head_b"] == 0.0)
+            assert np.array_equal(synced.params[key], learner.value_net.params[key])
+        learner.value_net.params["head_b"] += 1.0  # the synced copy is isolated
+        assert not np.array_equal(synced.params["head_b"], learner.value_net.params["head_b"])

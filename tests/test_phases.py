@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridnav import nn
+from gridnav.agent import phases
 from gridnav.agent import (
     AgentConfig,
     NavigationEnv,
@@ -13,7 +14,7 @@ from gridnav.agent import (
     run_exploration_phase,
     write_training_log,
 )
-from gridnav.mapping import GridCoord
+from gridnav.mapping import Action, GridCoord
 from gridnav.world import (
     Domain,
     Obstacle,
@@ -21,7 +22,9 @@ from gridnav.world import (
     WeatherKind,
     World,
     WorldSpec,
+    apply_weather,
     generate_world,
+    render_frame,
 )
 
 
@@ -229,3 +232,57 @@ class TestExploitationPhase:
                                         buffer=buf, step_budget=30)
         assert result.buffer is buf
         assert len(buf) == result.report.time_s
+
+
+def counted_renders(monkeypatch) -> list[int]:
+    """Counts the phases' calls to ``render_frame``."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return render_frame(*args, **kwargs)
+
+    monkeypatch.setattr(phases, "render_frame", counting)
+    return calls
+
+
+def fly(arch, world, seed, weather=WeatherCondition(WeatherKind.CLEAR, 0.0), budget=30):
+    env = NavigationEnv(world=world, start=GridCoord(1, 1), goal=GridCoord(8, 8))
+    config = AgentConfig(online_train_interval=10, batch_size=8)
+    value, target, adam = fresh_agent(arch, config)
+    buf = ReplayBuffer(config.replay_capacity)
+    result = run_exploitation_phase(env, value, target, adam, config, seed=seed,
+                                    weather=weather, buffer=buf, step_budget=budget)
+    return result.report, buf
+
+
+class TestSharedTransition:
+    def test_static_world_renders_each_frame_once(self, phase_arch, small_world,
+                                                  monkeypatch):
+        calls = counted_renders(monkeypatch)
+        report, buf = fly(phase_arch, small_world, seed=1)
+        assert report.time_s > 1
+        assert calls[0] == report.time_s + 1
+        for t in range(len(buf) - 1):
+            assert np.array_equal(buf[t].next_frame, buf[t + 1].frame)
+
+    def test_moving_world_renders_twice_per_step(self, phase_arch, monkeypatch):
+        spec = WorldSpec(domain=Domain.SAVANNA, width_m=12, height_m=12,
+                         obstacle_density=1.0, dynamic_count=3, seed=6)
+        world = generate_world(spec, start=GridCoord(1, 1), goal=GridCoord(8, 8))
+        calls = counted_renders(monkeypatch)
+        report, _ = fly(phase_arch, world, seed=2)
+        assert report.time_s > 1
+        assert calls[0] == 2 * report.time_s
+
+    def test_reused_frame_matches_a_fresh_weathered_render(self, phase_arch, small_world):
+        snow = WeatherCondition(WeatherKind.SNOW, 0.30)
+        report, buf = fly(phase_arch, small_world, seed=3, weather=snow)
+        assert report.time_s > 1
+        facing = Action.NORTH
+        for t in range(len(buf)):
+            fresh = apply_weather(render_frame(small_world, report.route[t], facing,
+                                               size=phase_arch.frame_size),
+                                  snow, rng_seed=3 + t + 1)
+            assert np.array_equal(buf[t].frame, fresh)
+            facing = Action(buf[t].action)

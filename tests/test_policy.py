@@ -55,13 +55,6 @@ class TestEpsilonGreedy:
         assert action == Action.NORTH  # invalid but predicted; caller corrects/voids
         assert decision == PolicyDecision.PREDICTED
 
-    def test_restricted_greedy_masks_invalid_actions(self):
-        rng = np.random.default_rng(4)
-        q = np.array([9.0, 1.0, 5.0, 0.0])
-        valid = np.array([False, True, False, True])
-        action, _ = epsilon_greedy(q, valid, 0.0, rng, restrict_greedy=True)
-        assert action == Action.SOUTH
-
     def test_literal_branch_swaps_the_comparison(self):
         # with the swapped reading, mu <= epsilon selects the argmax, so a
         # high epsilon now means mostly greedy instead of mostly random

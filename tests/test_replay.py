@@ -14,7 +14,6 @@ def make_transition(tag: int, episode: int) -> Transition:
         raster=raster,
         action=tag % 4,
         reward=-0.04,
-        gamma=0.95,
         next_frame=frame,
         next_raster=raster,
         terminal=False,

@@ -20,7 +20,6 @@ from gridnav.world import (
     WorldSpec,
     apply_weather,
     cell_center,
-    frame_to_pgm,
     generate_world,
     load_world,
     occupied_cells,
@@ -305,15 +304,6 @@ class TestSerialization:
         world = make_world([Obstacle(x=1.5, y=2.5, radius=0.4, vx=0.1, vy=-0.2,
                                      shade=0.7)])
         assert world_from_dict(world_to_dict(world)) == world
-
-    def test_pgm_dump(self):
-        frame = np.full((FRAME_SIZE, FRAME_SIZE), -1.0, dtype=np.float32)
-        frame[0, 0] = 1.0
-        data = frame_to_pgm(frame)
-        assert data.startswith(b"P5\n84 84\n255\n")
-        body = data.split(b"\n", 3)[3]
-        assert body[0] == 255
-        assert body[1] == 0
 
 
 @given(st.integers(0, 2**32 - 1))
