@@ -42,17 +42,6 @@ class AgentConfig:
     train_steps_per_episode: int = 1
     exploration_train_interval: int | None = 25
     online_train_interval: int = 1
-    #: The TD bootstrap term is scaled by gamma; setting this overrides the
-    #: coefficient independently of the discount (e.g. to the learning rate,
-    #: for the degenerate reading in which the two share one symbol).
-    bootstrap_coefficient: float | None = None
-    #: Swaps the epsilon-greedy branch so the draw mu <= epsilon selects the
-    #: greedy action instead of the random one.
-    literal_eq5_branch: bool = False
-
-    @property
-    def bootstrap(self) -> float:
-        return self.gamma if self.bootstrap_coefficient is None else self.bootstrap_coefficient
 
     @property
     def rule_name(self) -> str:
@@ -70,6 +59,10 @@ class AgentConfig:
             raise ValueError("trace_length must be positive")
         if self.batch_size < 1 or self.replay_capacity < 1:
             raise ValueError("batch_size and replay_capacity must be positive")
+        if self.trace_length is not None and self.trace_length > self.replay_capacity:
+            # no trace would ever fit in the buffer, so the net would never train
+            raise ValueError(f"trace_length {self.trace_length} exceeds "
+                             f"replay_capacity {self.replay_capacity}")
         # update cadences, taken modulo the update or step count
         for name in ("target_sync_every", "online_train_interval", "exploration_train_interval"):
             value = getattr(self, name)

@@ -13,6 +13,8 @@ always restricted to the next state's valid-action mask.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from .. import nn
@@ -27,7 +29,7 @@ def td_targets(
     q_next_value: np.ndarray,
     q_next_target: np.ndarray,
     valid_next: np.ndarray,
-    bootstrap: float,
+    gamma: float,
 ) -> np.ndarray:
     """Vectorised targets given precomputed next-state Q batches.
 
@@ -49,38 +51,35 @@ def td_targets(
     boot = np.where(any_valid, boot, 0.0)
 
     sign = -1.0 if rule == UpdateRule.EDDQN else 1.0
-    targets = rewards + sign * bootstrap * boot
+    targets = rewards + sign * gamma * boot
     return np.where(terminals, rewards, targets)
 
 
-def _next_state_q(net: nn.QNetwork, batch: list[Transition],
-                  feature_cache: dict | None) -> np.ndarray:
-    """Eval-mode Q on the batch's next states.
+def frame_digest(frame: np.ndarray) -> bytes:
+    """SHA-256 of the frame's bytes: the key of its image-trunk rows, which
+    are a pure function of the frame and the weights."""
+    return hashlib.sha256(np.ascontiguousarray(frame)).digest()
 
-    Trunk features are fetched from ``feature_cache`` by each transition's
-    ``next_key`` where possible; the remaining frames (plus one per
-    duplicated missing key) go through the trunk in a single batched pass.
-    The cache is only valid while ``net`` is unchanged; callers clear it on
-    every parameter update.
+
+def trunk_rows(net: nn.QNetwork, frames: list[np.ndarray], digests: list[bytes],
+               cache: dict[bytes, np.ndarray]) -> np.ndarray:
+    """Eval-mode image-trunk rows of ``frames``, (B, image_features).
+
+    Rows are looked up in ``cache`` by frame digest; the distinct misses go
+    through the trunk in one batched pass and are added to it.  The cache is
+    only valid while ``net`` is unchanged.
     """
-    cache = feature_cache if feature_cache is not None else {}
-    feats: list[np.ndarray | None] = []
-    missing: dict[object, list[int]] = {}
-    for i, t in enumerate(batch):
-        key = t.next_key if t.next_key is not None else ("uncached", i)
-        row = cache.get(key)
-        feats.append(row)
-        if row is None:
-            missing.setdefault(key, []).append(i)
+    missing = {digest: frame for frame, digest in zip(frames, digests) if digest not in cache}
     if missing:
-        rows = [indices[0] for indices in missing.values()]
-        computed = nn.image_features(net, np.stack([batch[i].next_frame for i in rows]))
-        for row_feats, (key, indices) in zip(computed, missing.items()):
-            cache[key] = row_feats
-            for i in indices:
-                feats[i] = row_feats
-    rasters = np.stack([t.next_raster for t in batch])
-    return nn.q_from_features(net, np.stack(feats), rasters)
+        cache.update(zip(missing, nn.image_features(net, np.stack(list(missing.values())))))
+    return np.array([cache[digest] for digest in digests])
+
+
+def _next_state_q(net: nn.QNetwork, batch: list[Transition],
+                  rows: dict[bytes, np.ndarray]) -> np.ndarray:
+    """Eval-mode Q on the batch's next states, their trunk rows served from ``rows``."""
+    feats = trunk_rows(net, [t.next_frame for t in batch], [t.next_digest for t in batch], rows)
+    return nn.q_from_features(net, feats, np.stack([t.next_raster for t in batch]))
 
 
 def compute_targets(
@@ -88,17 +87,21 @@ def compute_targets(
     batch: list[Transition],
     value_net: nn.QNetwork,
     target_net: nn.QNetwork,
-    bootstrap: float,
-    target_feature_cache: dict | None = None,
+    gamma: float,
+    target_rows: dict[bytes, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Eval-mode TD targets for a feedforward transition batch."""
-    q_tgt = _next_state_q(target_net, batch, target_feature_cache)
+    """Eval-mode TD targets for a feedforward transition batch.
+
+    ``target_rows`` caches the target net's trunk rows across calls; the
+    caller clears it whenever the target net changes.
+    """
+    q_tgt = _next_state_q(target_net, batch, {} if target_rows is None else target_rows)
     if rule == UpdateRule.DQN:
         q_val = q_tgt
     else:
-        # the value net changed last step, so its features only dedupe
-        # within this one batch
-        q_val = _next_state_q(value_net, batch, feature_cache={})
+        # the value net changed last step, so its rows only dedupe within
+        # this one batch
+        q_val = _next_state_q(value_net, batch, {})
     return td_targets(
         rule,
         rewards=np.array([t.reward for t in batch]),
@@ -106,7 +109,7 @@ def compute_targets(
         q_next_value=q_val,
         q_next_target=q_tgt,
         valid_next=np.stack([t.valid_next for t in batch]),
-        bootstrap=bootstrap,
+        gamma=gamma,
     )
 
 
@@ -117,7 +120,7 @@ def train_step(
     adam: nn.AdamState,
     config: AgentConfig,
     rng: np.random.Generator,
-    target_feature_cache: dict | None = None,
+    target_rows: dict[bytes, np.ndarray] | None = None,
 ):
     """One mini-batch update of the value network.
 
@@ -131,8 +134,8 @@ def train_step(
     if len(buffer) < config.batch_size:
         return None
     batch = buffer.sample(config.batch_size, rng)
-    targets = compute_targets(config.rule, batch, value_net, target_net, config.bootstrap,
-                              target_feature_cache=target_feature_cache)
+    targets = compute_targets(config.rule, batch, value_net, target_net, config.gamma,
+                              target_rows=target_rows)
 
     frames = np.stack([t.frame for t in batch])
     rasters = np.stack([t.raster for t in batch])
@@ -183,7 +186,7 @@ def _train_step_recurrent(
         q_next_value=q_val.reshape(t_len * batch, -1),
         q_next_target=q_tgt.reshape(t_len * batch, -1),
         valid_next=valid_next.reshape(t_len * batch, -1),
-        bootstrap=config.bootstrap,
+        gamma=config.gamma,
     )
 
     dropout_seed = int(rng.integers(0, 2**63))

@@ -46,7 +46,6 @@ from ..mapping import (
 from ..world import (
     CLEAR,
     WeatherCondition,
-    WeatherKind,
     World,
     apply_weather,
     occupied_cells,
@@ -55,7 +54,7 @@ from ..world import (
     step_dynamics,
 )
 from .config import AgentConfig
-from .learning import train_step
+from .learning import frame_digest, train_step, trunk_rows
 from .policy import PolicyDecision, correct_action, epsilon_greedy
 from .replay import ReplayBuffer, Transition
 
@@ -94,35 +93,42 @@ class ExplorationResult:
 
 @dataclass
 class _Learner:
-    """Mutable training state threaded through both phases."""
+    """Mutable training state threaded through both phases.
+
+    It also holds the image-trunk rows of both nets, keyed by frame digest:
+    the value net's, which answer action selection, until its next update,
+    and the target net's, which feed the TD targets, until its next sync.
+    """
 
     value_net: nn.QNetwork
     target_net: nn.QNetwork
     adam: nn.AdamState
     buffer: ReplayBuffer
     config: AgentConfig
-    evaluator: _QEvaluator
     train_steps: int = 0
 
     def __post_init__(self) -> None:
-        # trunk features of the target net, keyed by transition.next_key;
-        # valid until the next target sync
-        self._target_features: dict = {}
+        self._value_rows: dict[bytes, np.ndarray] = {}
+        self._target_rows: dict[bytes, np.ndarray] = {}
+
+    def q_values(self, state: _State) -> np.ndarray:
+        """The value net's eval-mode Q-values at ``state``."""
+        rows = trunk_rows(self.value_net, [state.frame], [state.digest], self._value_rows)
+        return nn.q_from_features(self.value_net, rows, state.raster[None])[0]
 
     def update(self, rng: np.random.Generator) -> float | None:
         """One mini-batch update, or None when the buffer holds no batch or
         trace yet (``train_step`` then leaves ``rng`` untouched)."""
         result = train_step(self.buffer, self.value_net, self.target_net, self.adam,
-                            self.config, rng,
-                            target_feature_cache=self._target_features)
+                            self.config, rng, target_rows=self._target_rows)
         if result is None:
             return None
         self.value_net, self.adam, loss = result
-        self.evaluator.invalidate()
+        self._value_rows.clear()
         self.train_steps += 1
         if self.train_steps % self.config.target_sync_every == 0:
             self.target_net = nn.clone_params(self.value_net)
-            self._target_features.clear()
+            self._target_rows.clear()
         return loss
 
     def update_every(self, step: int, interval: int | None,
@@ -133,40 +139,13 @@ class _Learner:
         return self.update(rng)
 
 
-class _QEvaluator:
-    """Eval-mode Q-values with trunk-feature caching.
-
-    The image trunk dominates evaluation cost but its output depends only
-    on (position, facing) while the world, weather and parameters stay
-    fixed, so those feature rows are memoised and thrown away whenever the
-    parameters change or the scene does.
-    """
-
-    def __init__(self, cacheable: bool):
-        self.cacheable = cacheable
-        self._features: dict[tuple[GridCoord, Action], np.ndarray] = {}
-
-    def invalidate(self) -> None:
-        self._features.clear()
-
-    def q_values(self, net: nn.QNetwork, frame: np.ndarray, raster: np.ndarray,
-                 pos: GridCoord, facing: Action) -> np.ndarray:
-        if not self.cacheable:
-            return nn.forward(net, frame[None], raster[None], mode="eval")[0]
-        key = (pos, facing)
-        feats = self._features.get(key)
-        if feats is None:
-            feats = nn.image_features(net, frame[None])
-            self._features[key] = feats
-        return nn.q_from_features(net, feats, raster[None])[0]
-
-
 class _State(NamedTuple):
     """The agent between two decisions: its decision map, heading and view."""
 
     local: LocalMap
     facing: Action
     frame: np.ndarray | None
+    digest: bytes | None  # frame_digest(frame), taken once per rendered frame
     raster: np.ndarray
 
     @property
@@ -176,6 +155,11 @@ class _State(NamedTuple):
     @property
     def at_target(self) -> bool:
         return self.local.agent_local == self.local.target_cell
+
+
+def _observed(local: LocalMap, facing: Action, frame: np.ndarray) -> _State:
+    """The state that sees ``frame``, with its digest and the map's raster."""
+    return _State(local, facing, frame, frame_digest(frame), render_decision_map(local))
 
 
 def _sensed_local_map(local: LocalMap, world: World, goal: GridCoord
@@ -208,25 +192,20 @@ def _transition(learner: _Learner, state: _State, world: World, goal: GridCoord,
     """
     local = state.local
     try:
-        q = learner.evaluator.q_values(learner.value_net, state.frame, state.raster,
-                                       state.agent, state.facing)
-        action, decision = epsilon_greedy(
-            q, valid_action_mask(local), epsilon, rng,
-            literal_branch=learner.config.literal_eq5_branch,
-        )
+        action, decision = epsilon_greedy(learner.q_values(state), valid_action_mask(local),
+                                          epsilon, rng)
         if correct and decision == PolicyDecision.PREDICTED:
             action, decision = correct_action(local, action)
     except BoxedInError:
         return None
 
     constraint = classify_action(local, action)
-    r = reward(action_destination(local, action), constraint, local, local.target_global)
+    r = reward(action_destination(local, action), local, local.target_global)
     if constraint == ConstraintClass.HARD:
         nxt, sensed = state, set()
     else:
         next_local, sensed = _sensed_local_map(apply_move(local, action), world, goal)
-        nxt = _State(next_local, action, render(next_local.agent_global, action),
-                     render_decision_map(next_local))
+        nxt = _observed(next_local, action, render(next_local.agent_global, action))
     # terminal at the target cell: inside a decision map the goal is always
     # the target cell, so this also covers reaching the goal
     learner.buffer.push(
@@ -236,11 +215,11 @@ def _transition(learner: _Learner, state: _State, world: World, goal: GridCoord,
             action=int(action),
             reward=r,
             next_frame=nxt.frame,
+            next_digest=nxt.digest,
             next_raster=nxt.raster,
             terminal=nxt.at_target,
             valid_next=valid_action_mask(nxt.local),
             episode_id=episode_id,
-            next_key=(nxt.agent, nxt.facing) if learner.evaluator.cacheable else None,
         )
     )
     return nxt, decision, r, sensed
@@ -272,7 +251,6 @@ def run_exploration_phase(
         adam=nn.init_adam(value_net.params, learning_rate=config.learning_rate),
         buffer=ReplayBuffer(config.replay_capacity),
         config=config,
-        evaluator=_QEvaluator(cacheable=not world.has_dynamics),
     )
 
     blocked_world = occupied_cells(world)
@@ -294,8 +272,7 @@ def run_exploration_phase(
 
     for episode in range(1, config.max_episodes + 1):
         local, _ = _spawn(free_cells[int(rng.integers(len(free_cells)))], world, env.goal)
-        state = _State(local, Action.NORTH, render(local.agent_global, Action.NORTH),
-                       render_decision_map(local))
+        state = _observed(local, Action.NORTH, render(local.agent_global, Action.NORTH))
         reward_sum = 0.0
         steps = 0
         losses = []
@@ -396,16 +373,12 @@ def run_exploitation_phase(
     rng = np.random.default_rng(seed)
     budget = config.mission_step_budget if step_budget is None else step_budget
     world = env.world
-    # Dust and snow speckle changes every step, so trunk features are only
-    # reusable under clear skies or fog over a static world.
-    cacheable = not world.has_dynamics and weather.kind in (WeatherKind.CLEAR, WeatherKind.FOG)
     learner = _Learner(
         value_net=value_net,
         target_net=target_net,
         adam=adam,
         buffer=ReplayBuffer(config.replay_capacity) if buffer is None else buffer,
         config=config,
-        evaluator=_QEvaluator(cacheable=cacheable),
     )
     global_map = new_global_map(world.shape[1], world.shape[0], env.start, env.goal)
 
@@ -416,7 +389,7 @@ def run_exploitation_phase(
 
     local, sensed = _spawn(env.start, world, env.goal)
     obstacles_seen: set[GridCoord] = set(sensed)
-    state = _State(local, Action.NORTH, None, render_decision_map(local))
+    state = _State(local, Action.NORTH, None, None, render_decision_map(local))
     route = [env.start]
     counts = {PolicyDecision.PREDICTED: 0, PolicyDecision.CORRECTED: 0, PolicyDecision.RANDOM: 0}
     episode_id = 0
@@ -426,9 +399,11 @@ def run_exploitation_phase(
         steps += 1
         if world.has_dynamics:
             world = step_dynamics(world, 1.0)
-            state = state._replace(frame=None)  # it showed the world before this move
+            # the frame showed the world before this move
+            state = state._replace(frame=None, digest=None)
         if state.frame is None:
-            state = state._replace(frame=observe(state.agent, state.facing, steps))
+            frame = observe(state.agent, state.facing, steps)
+            state = state._replace(frame=frame, digest=frame_digest(frame))
         step = _transition(learner, state, world, env.goal, config.epsilon_test,
                            correct=True, episode_id=episode_id, rng=rng,
                            render=partial(observe, step=steps + 1))

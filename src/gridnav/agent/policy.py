@@ -35,7 +35,6 @@ def epsilon_greedy(
     valid_actions: np.ndarray,
     epsilon: float,
     rng: np.random.Generator,
-    literal_branch: bool = False,
 ) -> tuple[Action, PolicyDecision]:
     """Pick an action from a 4-vector of Q-values.
 
@@ -43,7 +42,7 @@ def epsilon_greedy(
     otherwise the greedy argmax is returned (ties broken in the fixed
     N, S, E, W order).  The greedy branch deliberately ranges over all four
     actions so that unsafe predictions surface and can be voided or
-    corrected downstream.  ``literal_branch`` swaps which side of the draw is greedy.
+    corrected downstream.
     """
     valid_actions = np.asarray(valid_actions, dtype=bool)
     if valid_actions.shape != (len(ACTIONS),):
@@ -51,9 +50,7 @@ def epsilon_greedy(
     if not valid_actions.any():
         raise BoxedInError("no valid action to choose from")
 
-    mu = rng.random()
-    explore = (mu > epsilon) if literal_branch else (mu <= epsilon)
-    if explore:
+    if rng.random() <= epsilon:
         choice = rng.choice(np.flatnonzero(valid_actions))
         return Action(int(choice)), PolicyDecision.RANDOM
 

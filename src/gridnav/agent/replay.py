@@ -21,14 +21,12 @@ class Transition:
     action: int
     reward: float
     next_frame: np.ndarray
+    #: ``learning.frame_digest(next_frame)``, the key of its trunk rows
+    next_digest: bytes
     next_raster: np.ndarray
     terminal: bool
     valid_next: np.ndarray
     episode_id: int = 0
-    #: Hashable scene identity of ``next_frame`` (e.g. position and facing)
-    #: when the frame is a pure function of it; lets the learner reuse
-    #: image-trunk features across batches.  None disables reuse.
-    next_key: tuple | None = None
 
 
 class ReplayBuffer:
@@ -43,9 +41,6 @@ class ReplayBuffer:
 
     def push(self, transition: Transition) -> None:
         self._items.append(transition)
-
-    def __getitem__(self, index: int) -> Transition:
-        return self._items[index]
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
         """Uniform sample without replacement; requires a full batch."""

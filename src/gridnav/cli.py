@@ -121,12 +121,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 def _parse_value(key: str, raw: str):
     ftype = _FIELD_TYPES[key]
     raw = raw.strip()
-    if ftype == "bool":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"{key}: expected a boolean, got {raw!r}")
     if ftype in ("int | None", "float | None") and raw.lower() in ("none", ""):
         return None
     if ftype.startswith("int"):

@@ -321,12 +321,7 @@ def retarget(local: LocalMap, goal_global: GridCoord) -> LocalMap:
     return replace(local, cells=cells, target_cell=target)
 
 
-def reward(
-    outcome_cell_global: GridCoord,
-    constraint: ConstraintClass,
-    local: LocalMap,
-    goal_global: GridCoord,
-) -> float:
+def reward(outcome_cell_global: GridCoord, local: LocalMap, goal_global: GridCoord) -> float:
     """Reward for the cell an attempted action drove at.
 
     Precedence: reached > blocked > visited > valid > invalid.  Blocked
@@ -334,7 +329,6 @@ def reward(
     through to the invalid branch, since the offence there is leaving the
     search area rather than hitting an obstacle.
     """
-    del constraint  # the cell membership fully determines the branch
     if outcome_cell_global == goal_global:
         return REWARD_REACHED
 

@@ -14,7 +14,6 @@ from .model import (
     image_features,
     init_network,
     q_from_features,
-    zero_grads,
 )
 from .optim import AdamState, adam_step, init_adam
 
@@ -37,5 +36,4 @@ __all__ = [
     "mse_loss_grad",
     "q_from_features",
     "save_checkpoint",
-    "zero_grads",
 ]

@@ -81,17 +81,17 @@ def test_criterion_1_reward_exactness():
     local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 90), (100, 100))
     goal = local.target_global
 
-    assert reward(goal, ConstraintClass.NONE, local, goal) == 1.0
+    assert reward(goal, local, goal) == 1.0
 
     blocked = mark_blocked(local, [GridCoord(49, 50)])
-    assert reward(GridCoord(49, 50), ConstraintClass.HARD, blocked, goal) == -1.50
+    assert reward(GridCoord(49, 50), blocked, goal) == -1.50
 
     visited = apply_move(local, Action.NORTH)
-    assert reward(GridCoord(50, 50), ConstraintClass.SOFT, visited, goal) == -0.25
+    assert reward(GridCoord(50, 50), visited, goal) == -0.25
 
-    assert reward(GridCoord(51, 50), ConstraintClass.NONE, local, goal) == -0.04
+    assert reward(GridCoord(51, 50), local, goal) == -0.04
 
-    assert reward(GridCoord(50, 61), ConstraintClass.HARD, local, goal) == -0.75
+    assert reward(GridCoord(50, 61), local, goal) == -0.75
 
     assert set(REWARD_VALUES) == {1.0, -1.50, -0.25, -0.04, -0.75}
     assert (REWARD_REACHED, REWARD_BLOCKED, REWARD_VISITED, REWARD_VALID,

@@ -110,6 +110,18 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert not out.exists()  # rejected before the run starts
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_trace_longer_than_the_buffer_is_a_usage_error(self, tmp_path, capsys, command):
+        # drqn1000's trace can never fit the default 800-slot buffer
+        cfg = write_config(tmp_path / "cfg", **TINY_TRAIN)
+        out = tmp_path / "o"
+        code = run_cli(command, "--config", cfg, "--rule", "drqn1000", "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "replay_capacity" in err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_cap_hit_returns_distinct_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "cfg", **TINY_TRAIN)
@@ -202,6 +214,15 @@ EVAL_KEYS = dict(
 )
 
 
+@pytest.fixture(scope="module")
+def trained_drqn(tmp_path_factory):
+    root = tmp_path_factory.mktemp("drqn")
+    code = run_cli("train", "--config", write_config(root / "cfg", **TINY_TRAIN),
+                   "--rule", "drqn100", "--seed", "1", "--out", str(root))
+    assert code == EXIT_EPISODE_CAP
+    return root / "checkpoint.npz"
+
+
 class TestEvaluate:
     def test_missing_checkpoint_is_a_usage_error(self, tmp_path, capsys):
         code = run_cli("evaluate", "--out", str(tmp_path / "o"))
@@ -246,6 +267,21 @@ class TestEvaluate:
                 )
             )
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("scene, flags", [
+        ({}, ("--weather", "snow", "--intensity", "0.30")),
+        ({"domain": "savanna", "dynamic_count": 3}, ()),
+    ], ids=["snow", "savanna"])
+    def test_drqn_checkpoint_flies_in_snow_and_on_savanna(self, tmp_path, trained_drqn,
+                                                          scene, flags):
+        cfg = write_config(tmp_path / "cfg", **{**EVAL_KEYS, "step_budget": 20, **scene})
+        out = tmp_path / "o"
+        code = run_cli("evaluate", "--config", cfg, "--rule", "drqn100", "--checkpoint",
+                       str(trained_drqn), "--missions", "1,1:8,8", "--seed", "3",
+                       "--out", str(out), *flags)
+        assert code == EXIT_OK
+        report = json.loads((out / "missions.json").read_text())["reports"][0]
+        assert report["time_s"] > 0
 
     def test_full_sequence_runs_ten_scaled_missions(self, tmp_path, trained_tiny):
         cfg = write_config(tmp_path / "cfg", online_train_interval=100000,

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from gridnav import nn
-from gridnav.agent import AgentConfig, UpdateRule, td_targets, train_step
-from gridnav.agent.phases import _Learner, _QEvaluator
+from gridnav.agent import AgentConfig, UpdateRule, compute_targets, td_targets, train_step
+from gridnav.agent.learning import frame_digest, trunk_rows
+from gridnav.agent.phases import _Learner, _State
+from gridnav.mapping import Action
 from gridnav.agent.replay import ReplayBuffer, Transition
 
 ALL_VALID = np.ones((1, 4), dtype=bool)
@@ -20,7 +22,7 @@ def targets_for(rule, reward, q_value_row, q_target_row, valid=None, terminal=Fa
         q_next_value=np.array([q_value_row], dtype=float),
         q_next_target=np.array([q_target_row], dtype=float),
         valid_next=ALL_VALID if valid is None else np.array([valid]),
-        bootstrap=gamma,
+        gamma=gamma,
     )[0]
 
 
@@ -103,7 +105,8 @@ def fill_buffer(net, arch, count, rng, terminal_reward=None):
         else:
             r = terminal_reward
         buf.push(Transition(frame=frame, raster=raster, action=action, reward=r,
-                            next_frame=frame, next_raster=raster,
+                            next_frame=frame, next_digest=frame_digest(frame),
+                            next_raster=raster,
                             terminal=True, valid_next=np.ones(4, dtype=bool),
                             episode_id=i))
     return buf
@@ -115,7 +118,7 @@ class TestTrainStep:
         buf = ReplayBuffer(capacity=50)
         rng = np.random.default_rng(0)
         for _ in range(31):
-            buf.push(fill_buffer(net, tiny_arch, 1, rng)[0])
+            buf.push(fill_buffer(net, tiny_arch, 1, rng)._items[0])
         config = AgentConfig(batch_size=32)
         result = train_step(buf, net, nn.clone_params(net), nn.init_adam(net.params),
                             config, rng)
@@ -179,6 +182,7 @@ class TestTrainStep:
                                     raster=raster.astype(np.float32),
                                     action=0, reward=-0.04,
                                     next_frame=frame.astype(np.float32),
+                                    next_digest=frame_digest(frame.astype(np.float32)),
                                     next_raster=raster.astype(np.float32),
                                     terminal=False,
                                     valid_next=np.ones(4, dtype=bool),
@@ -193,6 +197,7 @@ class TestTrainStep:
                                 raster=raster.astype(np.float32),
                                 action=i % 4, reward=-0.04,
                                 next_frame=frame.astype(np.float32),
+                                next_digest=frame_digest(frame.astype(np.float32)),
                                 next_raster=raster.astype(np.float32),
                                 terminal=False, valid_next=np.ones(4, dtype=bool),
                                 episode_id=99))
@@ -212,8 +217,7 @@ class TestSyncTarget:
         learner = _Learner(value_net=net, target_net=first_target,
                            adam=nn.init_adam(net.params),
                            buffer=fill_buffer(net, tiny_arch, 4, rng, terminal_reward=1.0),
-                           config=AgentConfig(batch_size=2, target_sync_every=3),
-                           evaluator=_QEvaluator(cacheable=True))
+                           config=AgentConfig(batch_size=2, target_sync_every=3))
         for _ in range(2):
             assert learner.update(rng) is not None
             assert learner.target_net is first_target
@@ -224,3 +228,64 @@ class TestSyncTarget:
             assert np.array_equal(synced.params[key], learner.value_net.params[key])
         learner.value_net.params["head_b"] += 1.0  # the synced copy is isolated
         assert not np.array_equal(synced.params["head_b"], learner.value_net.params["head_b"])
+
+
+def random_transitions(arch, count, rng):
+    """Non-terminal transitions, each with its own random next frame."""
+    batch = []
+    for _ in range(count):
+        frame = rng.uniform(-1, 1, (arch.frame_size, arch.frame_size)).astype(np.float32)
+        raster = rng.uniform(-1, 1, arch.map_cells).astype(np.float32)
+        batch.append(Transition(frame=frame, raster=raster, action=0, reward=-0.04,
+                                next_frame=frame, next_digest=frame_digest(frame),
+                                next_raster=raster, terminal=False,
+                                valid_next=np.ones(4, dtype=bool)))
+    return batch
+
+
+class TestTrunkRows:
+    @pytest.mark.parametrize("rule", list(UpdateRule))
+    def test_a_shared_target_cache_gives_the_targets_of_a_fresh_one(self, tiny_arch, rule):
+        value = nn.init_network(tiny_arch, seed=7)
+        target = nn.init_network(tiny_arch, seed=8)
+        rng = np.random.default_rng(7)
+        first = random_transitions(tiny_arch, 4, rng)
+        second = random_transitions(tiny_arch, 4, rng)
+        shared: dict = {}
+        compute_targets(rule, first, value, target, 0.95, target_rows=shared)
+        got = compute_targets(rule, second, value, target, 0.95, target_rows=shared)
+        want = compute_targets(rule, second, value, target, 0.95, target_rows={})
+        assert np.array_equal(got, want)
+
+    def test_identical_frames_share_one_row(self, tiny_arch, monkeypatch):
+        net = nn.init_network(tiny_arch, seed=9)
+        rng = np.random.default_rng(9)
+        a, b = (rng.uniform(-1, 1, (2, tiny_arch.frame_size, tiny_arch.frame_size))
+                .astype(np.float32))
+        frames = [a, b, a.copy()]
+        passes = []
+        image_features = nn.image_features
+        monkeypatch.setattr(nn, "image_features",
+                            lambda net, x: passes.append(len(x)) or image_features(net, x))
+        cache: dict = {}
+        rows = trunk_rows(net, frames, [frame_digest(f) for f in frames], cache)
+        assert passes == [2]  # one batched pass over the distinct misses
+        assert np.array_equal(rows[0], rows[2])
+        assert np.allclose(rows, image_features(net, np.stack(frames)), rtol=0, atol=1e-6)
+        trunk_rows(net, [b], [frame_digest(b)], cache)
+        assert passes == [2]
+
+    def test_action_values_follow_every_update(self, tiny_arch):
+        net = nn.init_network(tiny_arch, seed=10)
+        rng = np.random.default_rng(10)
+        learner = _Learner(value_net=net, target_net=nn.clone_params(net),
+                           adam=nn.init_adam(net.params),
+                           buffer=fill_buffer(net, tiny_arch, 4, rng, terminal_reward=1.0),
+                           config=AgentConfig(batch_size=2))
+        t = learner.buffer._items[0]
+        state = _State(local=None, facing=Action.NORTH, frame=t.frame,
+                       digest=frame_digest(t.frame), raster=t.raster)
+        for _ in range(3):
+            want = nn.forward(learner.value_net, t.frame[None], t.raster[None])[0]
+            assert np.array_equal(learner.q_values(state), want)
+            assert learner.update(rng) is not None

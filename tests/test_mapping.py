@@ -176,37 +176,36 @@ class TestReward:
         self.goal = self.local.target_global
 
     def test_reaching_goal(self):
-        assert reward(self.goal, ConstraintClass.NONE, self.local, self.goal) == REWARD_REACHED
+        assert reward(self.goal, self.local, self.goal) == REWARD_REACHED
 
     def test_blocked_cell(self):
         local = mark_blocked(self.local, [GridCoord(49, 50)])
-        value = reward(GridCoord(49, 50), ConstraintClass.HARD, local, self.goal)
+        value = reward(GridCoord(49, 50), local, self.goal)
         assert value == REWARD_BLOCKED
 
     def test_visited_cell(self):
         local = apply_move(self.local, Action.NORTH)
-        value = reward(GridCoord(50, 50), ConstraintClass.SOFT, local, self.goal)
+        value = reward(GridCoord(50, 50), local, self.goal)
         assert value == REWARD_VISITED
 
     def test_free_cell(self):
-        value = reward(GridCoord(49, 50), ConstraintClass.NONE, self.local, self.goal)
+        value = reward(GridCoord(49, 50), self.local, self.goal)
         assert value == REWARD_VALID
 
     def test_outside_window_is_invalid(self):
-        value = reward(GridCoord(50, 61), ConstraintClass.HARD, self.local, self.goal)
+        value = reward(GridCoord(50, 61), self.local, self.goal)
         assert value == REWARD_INVALID
 
     def test_clipped_border_cell_is_invalid_not_blocked(self):
         local = spawn_local_map(GridCoord(2, 50), GridCoord(90, 50), WORLD)
         # global row -1 is inside the window but outside the search area
-        value = reward(GridCoord(-1, 50), ConstraintClass.HARD, local,
-                       local.target_global)
+        value = reward(GridCoord(-1, 50), local, local.target_global)
         assert value == REWARD_INVALID
 
     def test_goal_precedence_beats_visited(self):
         local = apply_move(self.local, Action.NORTH)
         goal = GridCoord(50, 50)  # revisiting the start, declared as the goal
-        assert reward(goal, ConstraintClass.SOFT, local, goal) == REWARD_REACHED
+        assert reward(goal, local, goal) == REWARD_REACHED
 
 
 class TestMerge:

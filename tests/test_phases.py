@@ -91,7 +91,7 @@ class TestExplorationPhase:
                              max_steps_per_episode=15)
         result = run_exploration_phase(env, config, seed=4, arch=phase_arch)
         assert len(result.buffer) > 0
-        episodes_seen = {result.buffer[i].episode_id for i in range(len(result.buffer))}
+        episodes_seen = {t.episode_id for t in result.buffer._items}
         assert len(episodes_seen) >= 2
 
     def test_deterministic_under_a_fixed_seed(self, phase_arch, small_world):
@@ -264,7 +264,7 @@ class TestSharedTransition:
         assert report.time_s > 1
         assert calls[0] == report.time_s + 1
         for t in range(len(buf) - 1):
-            assert np.array_equal(buf[t].next_frame, buf[t + 1].frame)
+            assert np.array_equal(buf._items[t].next_frame, buf._items[t + 1].frame)
 
     def test_moving_world_renders_twice_per_step(self, phase_arch, monkeypatch):
         spec = WorldSpec(domain=Domain.SAVANNA, width_m=12, height_m=12,
@@ -284,5 +284,5 @@ class TestSharedTransition:
             fresh = apply_weather(render_frame(small_world, report.route[t], facing,
                                                size=phase_arch.frame_size),
                                   snow, rng_seed=3 + t + 1)
-            assert np.array_equal(buf[t].frame, fresh)
-            facing = Action(buf[t].action)
+            assert np.array_equal(buf._items[t].frame, fresh)
+            facing = Action(buf._items[t].action)

@@ -55,18 +55,6 @@ class TestEpsilonGreedy:
         assert action == Action.NORTH  # invalid but predicted; caller corrects/voids
         assert decision == PolicyDecision.PREDICTED
 
-    def test_literal_branch_swaps_the_comparison(self):
-        # with the swapped reading, mu <= epsilon selects the argmax, so a
-        # high epsilon now means mostly greedy instead of mostly random
-        rng = np.random.default_rng(5)
-        q = np.array([0.0, 0.0, 1.0, 0.0])
-        greedy = sum(
-            epsilon_greedy(q, ALL_VALID, 0.95, rng, literal_branch=True)[1]
-            == PolicyDecision.PREDICTED
-            for _ in range(400)
-        )
-        assert greedy > 350
-
     def test_empty_mask_raises(self):
         with pytest.raises(BoxedInError):
             epsilon_greedy(np.zeros(4), np.zeros(4, dtype=bool), 0.1,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridnav.agent.learning import frame_digest
 from gridnav.agent.replay import ReplayBuffer, Transition
 
 
@@ -15,6 +16,7 @@ def make_transition(tag: int, episode: int) -> Transition:
         action=tag % 4,
         reward=-0.04,
         next_frame=frame,
+        next_digest=frame_digest(frame),
         next_raster=raster,
         terminal=False,
         valid_next=np.ones(4, dtype=bool),
@@ -29,9 +31,9 @@ def test_capacity_default_and_fifo_eviction():
         buf.push(make_transition(i, episode=i // 100))
     assert len(buf) == 800
     # the very first transition is gone and order is preserved
-    assert buf[0].frame[0, 0] == 1.0
-    assert buf[799].frame[0, 0] == 800.0
-    assert all(buf[i].frame[0, 0] == float(i + 1) for i in range(0, 800, 97))
+    assert buf._items[0].frame[0, 0] == 1.0
+    assert buf._items[799].frame[0, 0] == 800.0
+    assert all(buf._items[i].frame[0, 0] == float(i + 1) for i in range(0, 800, 97))
 
 
 def test_sample_without_replacement():
@@ -94,9 +96,9 @@ def test_eviction_can_trim_episode_heads_but_segments_stay_legal():
     for i in range(8, 15):
         buf.push(make_transition(i, episode=2))
     # capacity 10: buffer now holds tags 5..14 (3 from ep1, 7 from ep2)
-    assert [int(buf[i].frame[0, 0]) for i in range(3)] == [5, 6, 7]
+    assert [int(buf._items[i].frame[0, 0]) for i in range(3)] == [5, 6, 7]
     for start in buf.sequence_starts(3):
-        episodes = {buf[start + o].episode_id for o in range(3)}
+        episodes = {buf._items[start + o].episode_id for o in range(3)}
         assert len(episodes) == 1
 
 
@@ -111,7 +113,7 @@ def test_sequences_never_span_episodes(episode_lengths, length):
             tag += 1
     sequences = buf.sample_sequences(16, length, np.random.default_rng(0))
     if sequences is None:
-        held = [buf[i].episode_id for i in range(len(buf))]
+        held = [buf._items[i].episode_id for i in range(len(buf))]
         runs = []
         current = 1
         for a, b in zip(held, held[1:]):
