@@ -382,10 +382,14 @@ def run_exploitation_phase(
     )
     global_map = new_global_map(world.shape[1], world.shape[0], env.start, env.goal)
 
-    def observe(agent: GridCoord, facing: Action, step: int) -> np.ndarray:
-        """The weathered frame seen at the start of decision ``step``."""
+    def observe(world: World, agent: GridCoord, facing: Action, step: int) -> np.ndarray:
+        """The weathered frame of ``world`` seen at the start of decision ``step``."""
         frame = render_frame(world, agent, facing, size=value_net.arch.frame_size)
         return apply_weather(frame, weather, rng_seed=seed + step)
+
+    def advanced(world: World) -> World:
+        """The world one step (one second) on; a static world is itself."""
+        return step_dynamics(world, 1.0) if world.has_dynamics else world
 
     local, sensed = _spawn(env.start, world, env.goal)
     obstacles_seen: set[GridCoord] = set(sensed)
@@ -397,16 +401,17 @@ def run_exploitation_phase(
     steps = 0
     while steps < budget and state.agent != env.goal:
         steps += 1
-        if world.has_dynamics:
-            world = step_dynamics(world, 1.0)
-            # the frame showed the world before this move
-            state = state._replace(frame=None, digest=None)
         if state.frame is None:
-            frame = observe(state.agent, state.facing, steps)
+            # decision 1 sees the world one step after the spawn, like every
+            # later decision sees it one step after the previous one
+            world = advanced(world)
+            frame = observe(world, state.agent, state.facing, steps)
             state = state._replace(frame=frame, digest=frame_digest(frame))
+        # the next frame shows the world the next decision is made in
+        next_world = advanced(world)
         step = _transition(learner, state, world, env.goal, config.epsilon_test,
                            correct=True, episode_id=episode_id, rng=rng,
-                           render=partial(observe, step=steps + 1))
+                           render=partial(observe, next_world, step=steps + 1))
         if step is None:
             steps -= 1
             break
@@ -423,6 +428,7 @@ def run_exploitation_phase(
                 obstacles_seen.update(sensed)
                 state = state._replace(local=local, raster=render_decision_map(local))
 
+        world = next_world
         learner.update_every(steps, config.online_train_interval, rng)
 
     report = MissionReport(

@@ -36,9 +36,11 @@ from .world import (
     GenerationError,
     WeatherCondition,
     WeatherKind,
+    World,
     WorldSpec,
     generate_world,
     load_world,
+    occupied_cells,
     save_world,
 )
 
@@ -201,13 +203,29 @@ def cmd_generate_world(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _endpoint_error(world: World, start: GridCoord, goal: GridCoord) -> str | None:
+    """Why ``start`` or ``goal`` cannot be flown in ``world``, or None."""
+    height, width = world.shape
+    blocked = occupied_cells(world)
+    for name, cell in (("start", start), ("goal", goal)):
+        if not (0 <= cell.row < height and 0 <= cell.col < width):
+            return f"{name} cell ({cell.row}, {cell.col}) is outside the {height}x{width} world"
+        if cell in blocked:
+            return f"{name} cell ({cell.row}, {cell.col}) is occupied by an obstacle"
+    return None
+
+
 def cmd_train(config: RunConfig) -> int:
-    out = _ensure_out(config)
     start, goal = _default_endpoints(config)
     if config.world_file:
         world = load_world(config.world_file)
     else:
         world = generate_world(config.world_spec(), start=start, goal=goal)
+    error = _endpoint_error(world, start, goal)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE
+    out = _ensure_out(config)
     env = NavigationEnv(world=world, start=start, goal=goal)
     agent_config = config.agent_config()
 

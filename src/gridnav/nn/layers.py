@@ -71,17 +71,24 @@ def conv2d_backward(dout: np.ndarray, x: np.ndarray, kernel: np.ndarray,
 
 
 def maxpool2_forward(x: np.ndarray):
-    """2x2 stride-2 max pooling with floor division (odd edges dropped)."""
+    """2x2 stride-2 max pooling with floor division (odd edges dropped).
+
+    The cached index of each window's maximum counts row-major within the
+    window (0 top-left, 3 bottom-right); ties go to the first index.
+    """
     b, h, w, c = x.shape
     h2, w2 = h // 2, w // 2
-    v = (
-        x[:, : h2 * 2, : w2 * 2, :]
-        .reshape(b, h2, 2, w2, 2, c)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(b, h2, w2, c, 4)
-    )
-    idx = v.argmax(axis=-1).astype(np.uint8)
-    out = np.take_along_axis(v, idx[..., None].astype(np.int64), axis=-1)[..., 0]
+    top, bottom = x[:, 0 : h2 * 2 : 2], x[:, 1 : h2 * 2 : 2]
+    q0, q1 = top[:, :, 0 : w2 * 2 : 2], top[:, :, 1 : w2 * 2 : 2]
+    q2, q3 = bottom[:, :, 0 : w2 * 2 : 2], bottom[:, :, 1 : w2 * 2 : 2]
+    # strictly greater picks, so a tie keeps the earlier index and its exact
+    # value (np.maximum may return either zero of a +0/-0 tie)
+    right_top, right_bottom = q1 > q0, q3 > q2
+    best_top = np.where(right_top, q1, q0)
+    best_bottom = np.where(right_bottom, q3, q2)
+    lower = best_bottom > best_top
+    out = np.where(lower, best_bottom, best_top)
+    idx = np.where(lower, right_bottom.view(np.uint8) + np.uint8(2), right_top.view(np.uint8))
     return out, (x.shape, idx)
 
 

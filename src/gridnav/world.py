@@ -9,7 +9,10 @@ Geometry conventions: the world is a ``width_m`` x ``height_m`` rectangle;
 grid cell (row, col) is the unit square with centre ``(x, y) = (col + 0.5,
 row + 0.5)``, x growing east and y growing south.  North is toward smaller
 rows.  Everything here is a pure function of its inputs (worlds are
-immutable snapshots), so rendering is reentrant and thread-safe.
+immutable snapshots), so rendering is reentrant and thread-safe.  The
+column view a snapshot caches on first use (``World.columns``) is derived
+from its obstacles and never changed afterwards, so that stays true; each
+query reads from it only the obstacles within its reach.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.ndimage import uniform_filter
@@ -42,6 +47,10 @@ SNOW_HAZE = 0.9
 SNOW_SPECK_VALUE = 1.0
 
 ALLOWED_INTENSITIES = (0.0, 0.15, 0.30)
+
+#: Added to every query's reach, so that float rounding in the box test can
+#: never drop an obstacle that the exact test would count.
+_REACH_SLACK_M = 1.0
 
 
 class Domain(Enum):
@@ -124,6 +133,32 @@ class Obstacle:
     shade: float = 0.5
 
 
+class ObstacleColumns(NamedTuple):
+    """The obstacles of one world as float64 columns, in their tuple order."""
+
+    x: np.ndarray
+    y: np.ndarray
+    radius: np.ndarray
+    shade: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    movers: np.ndarray  # indices of the obstacles with a nonzero velocity
+
+    @classmethod
+    def of(cls, obstacles: tuple[Obstacle, ...]) -> ObstacleColumns:
+        table = np.array([(o.x, o.y, o.radius, o.shade, o.vx, o.vy) for o in obstacles],
+                         dtype=np.float64).reshape(-1, 6).T.copy()
+        x, y, radius, shade, vx, vy = table
+        return cls(x, y, radius, shade, vx, vy, np.flatnonzero((vx != 0.0) | (vy != 0.0)))
+
+    def within(self, x: float, y: float, reach: float) -> np.ndarray:
+        """Indices, in order, of the obstacles whose disc may come within
+        ``reach`` metres of ``(x, y)``: a box test with slack, a superset of
+        the exact distance test."""
+        bound = self.radius + (reach + _REACH_SLACK_M)
+        return np.flatnonzero((np.abs(self.x - x) <= bound) & (np.abs(self.y - y) <= bound))
+
+
 @dataclass(frozen=True)
 class World:
     spec: WorldSpec
@@ -133,9 +168,14 @@ class World:
     def shape(self) -> tuple[int, int]:
         return self.spec.shape
 
+    @cached_property
+    def columns(self) -> ObstacleColumns:
+        """Column view of ``obstacles``, built once per snapshot."""
+        return ObstacleColumns.of(self.obstacles)
+
     @property
     def has_dynamics(self) -> bool:
-        return any(o.vx or o.vy for o in self.obstacles)
+        return self.columns.movers.size > 0
 
 
 class GenerationError(RuntimeError):
@@ -217,19 +257,28 @@ def generate_world(
 
 def occupied_cells(world: World) -> set[GridCoord]:
     """Every grid cell whose unit square is touched by some obstacle disc."""
-    cells: set[GridCoord] = set()
     height, width = world.shape
-    for obs in world.obstacles:
-        r0 = max(0, int(math.floor(obs.y - obs.radius)))
-        r1 = min(height - 1, int(math.floor(obs.y + obs.radius)))
-        c0 = max(0, int(math.floor(obs.x - obs.radius)))
-        c1 = min(width - 1, int(math.floor(obs.x + obs.radius)))
-        for r in range(r0, r1 + 1):
-            for c in range(c0, c1 + 1):
-                cell = GridCoord(r, c)
-                if _disc_intersects_cell(obs.x, obs.y, obs.radius, cell):
-                    cells.add(cell)
-    return cells
+    cols = world.columns
+    r0 = np.maximum(np.floor(cols.y - cols.radius).astype(np.int64), 0)
+    r1 = np.minimum(np.floor(cols.y + cols.radius).astype(np.int64), height - 1)
+    c0 = np.maximum(np.floor(cols.x - cols.radius).astype(np.int64), 0)
+    c1 = np.minimum(np.floor(cols.x + cols.radius).astype(np.int64), width - 1)
+    radius2 = np.float_power(cols.radius, 2)
+    rows, columns = [], []
+    # each offset tests one cell of every obstacle's bounding box at once
+    for dr in range(int(np.max(r1 - r0, initial=-1)) + 1):
+        for dc in range(int(np.max(c1 - c0, initial=-1)) + 1):
+            r, c = r0 + dr, c0 + dc
+            # the disc-vs-square test of _disc_intersects_cell; float_power
+            # squares through libm pow, as its scalar ``**`` does
+            nearest_x = np.minimum(np.maximum(cols.x, c), c + 1)
+            nearest_y = np.minimum(np.maximum(cols.y, r), r + 1)
+            hit = (r <= r1) & (c <= c1) & (
+                np.float_power(cols.x - nearest_x, 2) + np.float_power(cols.y - nearest_y, 2)
+                <= radius2)
+            rows.extend(r[hit].tolist())
+            columns.extend(c[hit].tolist())
+    return set(map(GridCoord, rows, columns))
 
 
 def sense_obstacles(world: World, agent: GridCoord) -> set[GridCoord]:
@@ -240,11 +289,12 @@ def sense_obstacles(world: World, agent: GridCoord) -> set[GridCoord]:
     neighbour's cell square.
     """
     ax, ay = cell_center(agent)
+    near = [world.obstacles[i] for i in world.columns.within(ax, ay, SENSE_RANGE_M)]
     blocked: set[GridCoord] = set()
     for action in ACTIONS:
         dr, dc = ACTION_DELTAS[action]
         neighbour = GridCoord(agent.row + dr, agent.col + dc)
-        for obs in world.obstacles:
+        for obs in near:
             gap = math.hypot(obs.x - ax, obs.y - ay) - obs.radius
             if gap >= SENSE_RANGE_M:
                 continue
@@ -278,20 +328,24 @@ def render_frame(world: World, agent: GridCoord, facing: Action,
         size,
         axis=1,
     )
-    if not world.obstacles:
+    ax, ay = cell_center(agent)
+    cols = world.columns
+    # in index order, so that argmin ties and the shade lookup pick the same
+    # obstacle as a pass over every obstacle would
+    near = cols.within(ax, ay, VIEW_RANGE_M)
+    if not near.size:
         return frame
 
-    ax, ay = cell_center(agent)
     fx, fy = _FACING_VECTORS[facing]
     half_fov = math.radians(FOV_DEGREES / 2.0)
     angles = -half_fov + 2.0 * half_fov * (np.arange(size) + 0.5) / size
     dirs_x = fx * np.cos(angles) - fy * np.sin(angles)
     dirs_y = fx * np.sin(angles) + fy * np.cos(angles)
 
-    ox = np.array([o.x for o in world.obstacles]) - ax
-    oy = np.array([o.y for o in world.obstacles]) - ay
-    radius = np.array([o.radius for o in world.obstacles])
-    shade = np.array([o.shade for o in world.obstacles])
+    ox = cols.x[near] - ax
+    oy = cols.y[near] - ay
+    radius = cols.radius[near]
+    shade = cols.shade[near]
 
     # Ray/disc intersection for every (column, obstacle) pair.
     proj = dirs_x[:, None] * ox[None, :] + dirs_y[:, None] * oy[None, :]
@@ -357,24 +411,27 @@ def step_dynamics(world: World, dt: float) -> World:
         return world
     width = float(world.spec.width_m)
     height = float(world.spec.height_m)
-    moved = []
-    for obs in world.obstacles:
-        if not (obs.vx or obs.vy):
-            moved.append(obs)
-            continue
-        x = obs.x + obs.vx * dt
-        y = obs.y + obs.vy * dt
-        vx, vy = obs.vx, obs.vy
-        if x < 0.0:
-            x, vx = -x, -vx
-        elif x > width:
-            x, vx = 2.0 * width - x, -vx
-        if y < 0.0:
-            y, vy = -y, -vy
-        elif y > height:
-            y, vy = 2.0 * height - y, -vy
-        moved.append(replace(obs, x=x, y=y, vx=vx, vy=vy))
-    return World(spec=world.spec, obstacles=tuple(moved))
+    cols = world.columns
+    m = cols.movers
+    x = cols.x[m] + cols.vx[m] * dt
+    y = cols.y[m] + cols.vy[m] * dt
+    x_low, x_high, y_low, y_high = x < 0.0, x > width, y < 0.0, y > height
+    x = np.where(x_low, -x, np.where(x_high, 2.0 * width - x, x))
+    y = np.where(y_low, -y, np.where(y_high, 2.0 * height - y, y))
+    vx = np.where(x_low | x_high, -cols.vx[m], cols.vx[m])
+    vy = np.where(y_low | y_high, -cols.vy[m], cols.vy[m])
+
+    obstacles = list(world.obstacles)
+    for i, xi, yi, vxi, vyi in zip(m.tolist(), x.tolist(), y.tolist(), vx.tolist(),
+                                   vy.tolist()):
+        obstacles[i] = replace(obstacles[i], x=xi, y=yi, vx=vxi, vy=vyi)
+    new_x, new_y, new_vx, new_vy = (c.copy() for c in (cols.x, cols.y, cols.vx, cols.vy))
+    new_x[m], new_y[m], new_vx[m], new_vy[m] = x, y, vx, vy
+    moved = World(spec=world.spec, obstacles=tuple(obstacles))
+    # the moved columns hold exactly the floats just stored in ``obstacles``,
+    # so they seed the cached view without a Python pass over every obstacle
+    moved.__dict__["columns"] = cols._replace(x=new_x, y=new_y, vx=new_vx, vy=new_vy)
+    return moved
 
 
 def world_to_dict(world: World) -> dict:

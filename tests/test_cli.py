@@ -180,6 +180,30 @@ class TestTrain:
         assert code == EXIT_EPISODE_CAP
 
 
+    @pytest.mark.parametrize("endpoint, message", [
+        ({}, "goal cell (28, 28) is outside the 12x12 world"),
+        ({"start_row": -1}, "start cell (-1, 1) is outside the 12x12 world"),
+        ({"goal_row": 3, "goal_col": 3}, "goal cell (3, 3) is occupied by an obstacle"),
+    ], ids=["goal-outside", "start-outside", "goal-occupied"])
+    def test_world_file_endpoints_are_checked(self, tmp_path, capsys, endpoint, message):
+        wout = tmp_path / "w"
+        assert run_cli("generate-world", "--out", str(wout), "--domain", "plain",
+                       "--config", write_config(tmp_path / "wcfg", world_width=12,
+                                                world_height=12, obstacle_density=0.0)) \
+            == EXIT_OK
+        doc = json.loads((wout / "world.json").read_text())
+        doc["obstacles"] = [{"x": 3.5, "y": 3.5, "r": 0.3}]
+        (wout / "world.json").write_text(json.dumps(doc))
+        cfg = write_config(tmp_path / "cfg", **{**TINY_TRAIN, "world_width": 30,
+                                                "world_height": 30, "goal_row": 28,
+                                                "goal_col": 28, **endpoint},
+                           world_file=str(wout / "world.json"))
+        out = tmp_path / "o"
+        code = run_cli("train", "--config", cfg, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_drqn_runs_record_their_rule(self, tmp_path):
         train_out = tmp_path / "t"
         code = run_cli("train", "--config", write_config(tmp_path / "cfg", **TINY_TRAIN),

@@ -82,6 +82,40 @@ def test_maxpool_floor_division_and_gradients():
     check_grad(value, x, dx, samples=60, rng=rng)
 
 
+def argmax_maxpool2(x):
+    """Reference max pool: argmax over each window's four values."""
+    b, h, w, c = x.shape
+    h2, w2 = h // 2, w // 2
+    v = (
+        x[:, : h2 * 2, : w2 * 2, :]
+        .reshape(b, h2, 2, w2, 2, c)
+        .transpose(0, 1, 3, 5, 2, 4)
+        .reshape(b, h2, w2, c, 4)
+    )
+    idx = v.argmax(axis=-1).astype(np.uint8)
+    out = np.take_along_axis(v, idx[..., None].astype(np.int64), axis=-1)[..., 0]
+    return out, idx
+
+
+_POOL_RNG = np.random.default_rng(11)
+
+
+@pytest.mark.parametrize("x", [
+    _POOL_RNG.standard_normal((2, 84, 84, 4)).astype(np.float32),
+    np.round(_POOL_RNG.standard_normal((3, 21, 21, 3))),  # many ties
+    np.maximum(_POOL_RNG.standard_normal((2, 42, 42, 8)).astype(np.float32), 0),  # ReLU zeros
+    np.zeros((2, 5, 5, 1)),
+    _POOL_RNG.integers(0, 2, (3, 10, 11, 2)).astype(np.float32),
+    np.where(_POOL_RNG.random((2, 8, 8, 3)) < 0.5, -0.0, 0.0),  # +0/-0 ties
+], ids=["normal", "rounded", "relu", "zeros", "binary", "signed-zeros"])
+def test_maxpool_matches_the_argmax_reference(x):
+    out, (shape, idx) = layers.maxpool2_forward(x)
+    ref_out, ref_idx = argmax_maxpool2(x)
+    assert shape == x.shape
+    assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
+    assert idx.dtype == np.uint8 and np.array_equal(idx, ref_idx)
+
+
 def test_relu_gradients():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5, 7))

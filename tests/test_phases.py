@@ -266,14 +266,18 @@ class TestSharedTransition:
         for t in range(len(buf) - 1):
             assert np.array_equal(buf._items[t].next_frame, buf._items[t + 1].frame)
 
-    def test_moving_world_renders_twice_per_step(self, phase_arch, monkeypatch):
+    def test_moving_world_renders_each_frame_once(self, phase_arch, monkeypatch):
+        # the stored next frame is the one the agent decides on next, drawn
+        # after the obstacles moved, so the TD target bootstraps from it
         spec = WorldSpec(domain=Domain.SAVANNA, width_m=12, height_m=12,
                          obstacle_density=1.0, dynamic_count=3, seed=6)
         world = generate_world(spec, start=GridCoord(1, 1), goal=GridCoord(8, 8))
         calls = counted_renders(monkeypatch)
-        report, _ = fly(phase_arch, world, seed=2)
+        report, buf = fly(phase_arch, world, seed=2)
         assert report.time_s > 1
-        assert calls[0] == 2 * report.time_s
+        assert calls[0] == report.time_s + 1
+        for t in range(len(buf) - 1):
+            assert np.array_equal(buf._items[t].next_frame, buf._items[t + 1].frame)
 
     def test_reused_frame_matches_a_fresh_weathered_render(self, phase_arch, small_world):
         snow = WeatherCondition(WeatherKind.SNOW, 0.30)

@@ -10,10 +10,13 @@ from gridnav.world import (
     CLEAR,
     DEFAULT_DENSITY,
     Domain,
+    FOV_DEGREES,
     FRAME_SIZE,
     GenerationError,
     Obstacle,
+    ObstacleColumns,
     SENSE_RANGE_M,
+    VIEW_RANGE_M,
     WeatherCondition,
     WeatherKind,
     World,
@@ -36,6 +39,74 @@ def make_world(obstacles, width=20, height=20, domain=Domain.FOREST, dynamic=0):
     spec = WorldSpec(domain=domain, width_m=width, height_m=height,
                      obstacle_density=0.0, dynamic_count=dynamic, seed=0)
     return World(spec=spec, obstacles=tuple(obstacles))
+
+
+def random_world(rng, width, height, count, max_radius=0.6, margin=2.0, movers=0):
+    """Obstacles anywhere in the world and up to ``margin`` m beyond its edges."""
+    obstacles = [
+        Obstacle(x=float(rng.uniform(-margin, width + margin)),
+                 y=float(rng.uniform(-margin, height + margin)),
+                 radius=float(rng.uniform(0.1, max_radius)),
+                 vx=float(rng.uniform(-1.5, 1.5)) if i < movers else 0.0,
+                 vy=float(rng.uniform(-1.5, 1.5)) if i < movers else 0.0,
+                 shade=float(rng.uniform(0.0, 1.0)))
+        for i in range(count)
+    ]
+    domain = Domain.SAVANNA if movers else Domain.FOREST
+    return make_world(obstacles, width, height, domain=domain, dynamic=movers)
+
+
+def all_obstacles_render(world, agent, facing, size=FRAME_SIZE):
+    """Reference renderer: every ray against every obstacle of the world."""
+    frame = np.repeat(
+        np.linspace(1.0, 0.2, size, dtype=np.float32)[:, None], size, axis=1)
+    if not world.obstacles:
+        return frame
+    ax, ay = cell_center(agent)
+    fx, fy = {Action.NORTH: (0.0, -1.0), Action.SOUTH: (0.0, 1.0),
+              Action.EAST: (1.0, 0.0), Action.WEST: (-1.0, 0.0)}[facing]
+    half_fov = math.radians(FOV_DEGREES / 2.0)
+    angles = -half_fov + 2.0 * half_fov * (np.arange(size) + 0.5) / size
+    dirs_x = fx * np.cos(angles) - fy * np.sin(angles)
+    dirs_y = fx * np.sin(angles) + fy * np.cos(angles)
+    ox = np.array([o.x for o in world.obstacles]) - ax
+    oy = np.array([o.y for o in world.obstacles]) - ay
+    radius = np.array([o.radius for o in world.obstacles])
+    shade = np.array([o.shade for o in world.obstacles])
+    proj = dirs_x[:, None] * ox[None, :] + dirs_y[:, None] * oy[None, :]
+    perp2 = (ox**2 + oy**2)[None, :] - proj**2
+    disc = radius[None, :] ** 2 - perp2
+    t = np.where((disc >= 0.0) & (proj > 0.0), proj - np.sqrt(np.maximum(disc, 0.0)), np.inf)
+    t = np.where(t > 0.0, t, np.inf)
+    t = np.where(t <= VIEW_RANGE_M, t, np.inf)
+    nearest = np.argmin(t, axis=1)
+    dist = t[np.arange(size), nearest]
+    half_height = size // 2
+    for col in range(size):
+        d = dist[col]
+        if not np.isfinite(d):
+            continue
+        closeness = 1.0 - d / VIEW_RANGE_M
+        band = max(1, int(round(half_height * closeness * (0.4 + 0.6 * shade[nearest[col]]))))
+        lo, hi = max(0, half_height - band), min(size, half_height + band)
+        frame[lo:hi, col] = np.float32(-1.0 + 2.0 * d / VIEW_RANGE_M)
+    return frame
+
+
+def per_obstacle_occupied_cells(world):
+    """Reference: each obstacle's bounding-box cells, tested one by one."""
+    height, width = world.shape
+    cells = set()
+    for obs in world.obstacles:
+        for r in range(max(0, math.floor(obs.y - obs.radius)),
+                       min(height - 1, math.floor(obs.y + obs.radius)) + 1):
+            for c in range(max(0, math.floor(obs.x - obs.radius)),
+                           min(width - 1, math.floor(obs.x + obs.radius)) + 1):
+                nx = min(max(obs.x, float(c)), float(c + 1))
+                ny = min(max(obs.y, float(r)), float(r + 1))
+                if (obs.x - nx) ** 2 + (obs.y - ny) ** 2 <= obs.radius**2:
+                    cells.add(GridCoord(r, c))
+    return cells
 
 
 class TestGeneration:
@@ -65,6 +136,18 @@ class TestGeneration:
         assert DEFAULT_DENSITY[Domain.FOREST] > DEFAULT_DENSITY[Domain.SAVANNA]
         assert DEFAULT_DENSITY[Domain.SAVANNA] > DEFAULT_DENSITY[Domain.PLAIN] > 0
 
+    def test_occupied_cells_match_a_per_obstacle_loop(self):
+        rng = np.random.default_rng(8)
+        for trial in range(30):
+            width, height = (int(v) for v in rng.integers(1, 40, size=2))
+            world = random_world(rng, width, height, int(rng.integers(0, 120)),
+                                 max_radius=float(rng.choice([0.6, 3.0])))
+            assert occupied_cells(world) == per_obstacle_occupied_cells(world), \
+                f"trial {trial}"
+        forest = generate_world(WorldSpec(domain=Domain.FOREST, width_m=60, height_m=60,
+                                          seed=3))
+        assert occupied_cells(forest) == per_obstacle_occupied_cells(forest)
+
     def test_impossible_clearance_raises(self):
         spec = WorldSpec(domain=Domain.FOREST, width_m=1, height_m=1,
                          obstacle_density=100.0, seed=0)
@@ -80,6 +163,14 @@ class TestGeneration:
         movers = [o for o in world.obstacles if o.vx or o.vy]
         assert len(movers) == 4
         assert world.has_dynamics
+
+    def test_one_mover_is_dynamics(self):
+        statics = [Obstacle(x=float(i), y=3.0) for i in range(1, 6)]
+        assert not make_world(statics).has_dynamics
+        world = make_world([*statics, Obstacle(x=9.0, y=9.0, vy=-0.5)],
+                           domain=Domain.SAVANNA, dynamic=1)
+        assert world.has_dynamics
+        assert step_dynamics(world, 1.0).has_dynamics
 
 
 class TestSensing:
@@ -171,6 +262,44 @@ class TestRenderer:
         south = render_frame(world, agent, Action.SOUTH)
         assert not np.array_equal(north, south)
         assert (south < 0).sum() == 0  # obstacle is behind
+
+    def test_matches_the_all_obstacles_renderer(self):
+        rng = np.random.default_rng(5)
+        for trial in range(25):
+            width, height = (int(v) for v in rng.integers(5, 70, size=2))
+            world = random_world(rng, width, height, int(rng.integers(1, 300)),
+                                 max_radius=float(rng.choice([0.6, 4.0])))
+            for _ in range(4):
+                # border and off-grid cells included
+                agent = GridCoord(int(rng.integers(-2, height + 2)),
+                                  int(rng.integers(-2, width + 2)))
+                facing = Action(int(rng.integers(4)))
+                frame = render_frame(world, agent, facing)
+                assert frame.tobytes() == all_obstacles_render(world, agent, facing).tobytes(), \
+                    f"trial {trial} at {agent} facing {facing.name}"
+
+    def test_view_without_obstacles_in_range_is_the_background(self):
+        agent = GridCoord(30, 30)
+        ax, ay = cell_center(agent)
+        world = make_world([Obstacle(x=ax, y=ay - 20.5), Obstacle(x=ax + 21.0, y=ay + 3.0),
+                            Obstacle(x=ax - 40.0, y=ay)], width=80, height=80)
+        for facing in Action:
+            frame = render_frame(world, agent, facing)
+            assert frame.tobytes() == render_frame(make_world([]), agent, facing).tobytes()
+            assert frame.tobytes() == all_obstacles_render(world, agent, facing).tobytes()
+
+    def test_moving_world_matches_the_all_obstacles_renderer(self):
+        rng = np.random.default_rng(6)
+        world = random_world(rng, 40, 40, 150, movers=30)
+        for step in range(20):
+            world = step_dynamics(world, 1.0)
+            # the view the step carried over equals one built from the obstacles
+            for carried, rebuilt in zip(world.columns, ObstacleColumns.of(world.obstacles)):
+                assert carried.tobytes() == rebuilt.tobytes()
+            agent = GridCoord(int(rng.integers(0, 40)), int(rng.integers(0, 40)))
+            facing = Action(step % 4)
+            assert render_frame(world, agent, facing).tobytes() == \
+                all_obstacles_render(world, agent, facing).tobytes(), f"step {step}"
 
     def test_values_in_range(self):
         world = generate_world(
