@@ -15,6 +15,7 @@ learning online from the replay buffer as it flies.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -225,6 +226,16 @@ def _transition(learner: _Learner, state: _State, world: World, goal: GridCoord,
     return nxt, decision, r, sensed
 
 
+def _free_cells(world: World) -> np.ndarray:
+    """(n, 2) row and column of every cell no obstacle touches, row-major."""
+    blocked = occupied_cells(world)
+    free = np.ones(world.shape, dtype=bool)
+    cells = np.fromiter(itertools.chain.from_iterable(blocked), dtype=np.intp,
+                        count=2 * len(blocked)).reshape(-1, 2)
+    free[cells[:, 0], cells[:, 1]] = False
+    return np.argwhere(free)
+
+
 def run_exploration_phase(
     env: NavigationEnv,
     config: AgentConfig,
@@ -253,14 +264,8 @@ def run_exploration_phase(
         config=config,
     )
 
-    blocked_world = occupied_cells(world)
-    free_cells = [
-        GridCoord(r, c)
-        for r in range(world.shape[0])
-        for c in range(world.shape[1])
-        if GridCoord(r, c) not in blocked_world
-    ]
-    if not free_cells:
+    free_cells = _free_cells(world)
+    if not len(free_cells):
         raise ValueError("world has no free cell to spawn in")
 
     def render(agent: GridCoord, facing: Action) -> np.ndarray:
@@ -271,7 +276,8 @@ def run_exploration_phase(
     converged = False
 
     for episode in range(1, config.max_episodes + 1):
-        local, _ = _spawn(free_cells[int(rng.integers(len(free_cells)))], world, env.goal)
+        spawn = GridCoord(*free_cells[int(rng.integers(len(free_cells)))].tolist())
+        local, _ = _spawn(spawn, world, env.goal)
         state = _observed(local, Action.NORTH, render(local.agent_global, Action.NORTH))
         reward_sum = 0.0
         steps = 0

@@ -278,15 +278,18 @@ def _parse_mission_list(config: RunConfig) -> list[MissionSpec]:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    out = _ensure_out(config)
     if not config.checkpoint:
         print("error: evaluate requires --checkpoint", file=sys.stderr)
         return EXIT_USAGE
     if not os.path.exists(config.checkpoint):
         print(f"error: checkpoint {config.checkpoint!r} not found", file=sys.stderr)
         return EXIT_USAGE
-    agent_config = config.agent_config()
-    checkpoint = AgentCheckpoint.load(config.checkpoint, agent_config)
+    try:
+        checkpoint = AgentCheckpoint.load(config.checkpoint, config.agent_config())
+    except ValueError as exc:
+        print(f"error: checkpoint {config.checkpoint!r}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    out = _ensure_out(config)
 
     missions = _parse_mission_list(config)
     reports = []

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .model import ArchitectureSpec, QNetwork
+from .model import ArchitectureSpec, QNetwork, check_params
 from .optim import AdamState
 
 FORMAT_VERSION = 1
@@ -44,7 +44,8 @@ def save_checkpoint(path, net: QNetwork, adam: AdamState | None = None,
 
 
 def load_checkpoint(path):
-    """Returns (net, adam_state_or_None, extra_metadata)."""
+    """Returns (net, adam_state_or_None, extra_metadata).  Raises ValueError
+    when the parameters are not the ones the recorded architecture builds."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         if meta["format_version"] != FORMAT_VERSION:
@@ -53,6 +54,7 @@ def load_checkpoint(path):
         params = {
             k.split("/", 1)[1]: data[k] for k in data.files if k.startswith("param/")
         }
+        check_params(arch, params)
         net = QNetwork(arch=arch, params=params)
         adam = None
         if "adam" in meta:

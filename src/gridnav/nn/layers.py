@@ -2,9 +2,10 @@
 
 Every forward returns ``(out, cache)`` and the matching backward consumes
 ``(dout, cache)``.  Convolutions are stride-1 with "same" padding, realised
-as im2col plus one GEMM; the data gradient is itself a convolution with the
-spatially flipped kernel under the complementary padding, which keeps the
-backward pass on the BLAS fast path instead of a scatter loop.
+as im2col plus GEMM, one image (forward) or one kernel row (weight
+gradient) at a time so the patch matrix stays small; the data gradient is
+one small GEMM per kernel offset added into the padded input (kn2row),
+which needs no patch matrix of the output gradient at all.
 
 Arrays are channels-last: images are ``(B, H, W, C)``.  All ops preserve
 their input dtype so the same code runs float32 for training and float64
@@ -17,11 +18,21 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
-def _im2col(x_padded: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(B, H', W', Ci) padded input -> (B*H*W, kh*kw*Ci) patch matrix."""
-    win = sliding_window_view(x_padded, (kh, kw), axis=(1, 2))
-    b, h, w, ci, _, _ = win.shape
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(b * h * w, kh * kw * ci)
+def _patches(x_padded: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(B, H', W', Ci) padded input -> (B, H, W, kh, kw, Ci) view of every
+    pixel's patch; reshaped contiguous, a slice of it is an im2col matrix."""
+    return sliding_window_view(x_padded, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+
+
+#: Patch matrices are built a block of at most this many bytes at a time:
+#: wide enough for full-speed GEMMs, small enough that a trunk chunk's
+#: transient buffers stay a few MB on each worker.
+_BLOCK_BYTES = 4 << 20
+
+
+def _per_block(count: int, item: np.ndarray) -> int:
+    """How many of ``count`` items shaped like ``item`` fit one block (at least one)."""
+    return max(1, min(count, _BLOCK_BYTES // max(item.nbytes, 1)))
 
 
 def _same_pad(kh: int, kw: int) -> tuple[int, int, int, int]:
@@ -33,10 +44,15 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
     b, h, w, _ = x.shape
     kh, kw, ci, co = kernel.shape
     pt, pb, pl, pr = _same_pad(kh, kw)
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    cols = _im2col(xp, kh, kw)
-    out = cols @ kernel.reshape(kh * kw * ci, co)
-    out = out.reshape(b, h, w, co)
+    patches = _patches(np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0))), kh, kw)
+    weights = kernel.reshape(kh * kw * ci, co)
+    out = np.empty((b, h, w, co), dtype=np.result_type(x, kernel))
+    # a block of images at a time: every output pixel is the same dot product
+    # as with the whole batch's patch matrix
+    step = _per_block(b, patches[0])
+    for i in range(0, b, step):
+        np.matmul(np.ascontiguousarray(patches[i : i + step]).reshape(-1, kh * kw * ci),
+                  weights, out=out[i : i + step].reshape(-1, co))
     out += bias
     return out, x
 
@@ -46,28 +62,34 @@ def conv2d_backward(dout: np.ndarray, x: np.ndarray, kernel: np.ndarray,
     """Gradients (dx, dk, db) for :func:`conv2d_forward`.
 
     ``need_dx=False`` skips the data gradient (dx comes back None); the
-    first layer's input gradient is dead weight and its im2col buffer is
-    by far the largest allocation in the whole backward pass.
+    first layer's input gradient is dead weight.
     """
     b, h, w, ci = x.shape
     kh, kw, _, co = kernel.shape
     pt, pb, pl, pr = _same_pad(kh, kw)
-
     xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    cols = _im2col(xp, kh, kw)
+    patches = _patches(xp, kh, kw)
     dout_flat = dout.reshape(b * h * w, co)
-    dk = (cols.T @ dout_flat).reshape(kh, kw, ci, co)
+    dk = np.empty((kh, kw, ci, co), dtype=np.result_type(x, dout))
+    # a block of kernel rows at a time: every weight's gradient is the same dot
+    # product over all pixels as with the full patch matrix
+    step = _per_block(kh, patches[:, :, :, 0])
+    for oy in range(0, kh, step):
+        cols = np.ascontiguousarray(patches[:, :, :, oy : oy + step]).reshape(b * h * w, -1)
+        np.matmul(cols.T, dout_flat, out=dk[oy : oy + step].reshape(-1, co))
+    del cols
     db = dout_flat.sum(axis=0)
 
     if not need_dx:
         return None, dk, db
-    # dx is the correlation of dout with the flipped kernel, padded with the
-    # complement of the forward padding.
-    kflip = kernel[::-1, ::-1].transpose(0, 1, 3, 2)  # (kh, kw, Co, Ci)
-    dp = np.pad(dout, ((0, 0), (pb, pt), (pr, pl), (0, 0)))
-    dcols = _im2col(dp, kh, kw)
-    dx = (dcols @ kflip.reshape(kh * kw * co, ci)).reshape(b, h, w, ci)
-    return dx, dk, db
+    # kernel offset (oy, ox) carried padded input pixel (i + oy, j + ox) to
+    # output pixel (i, j): one small GEMM per offset sends dout back along it
+    dxp = np.zeros(xp.shape, dtype=dout.dtype)
+    for oy in range(kh):
+        for ox in range(kw):
+            dxp[:, oy : oy + h, ox : ox + w] += (
+                (dout_flat @ kernel[oy, ox].T).reshape(b, h, w, ci))
+    return dxp[:, pt : pt + h, pl : pl + w], dk, db
 
 
 def maxpool2_forward(x: np.ndarray):
@@ -95,12 +117,9 @@ def maxpool2_forward(x: np.ndarray):
 def maxpool2_backward(dout: np.ndarray, cache):
     (b, h, w, c), idx = cache
     h2, w2 = h // 2, w // 2
-    dv = np.zeros((b, h2, w2, c, 4), dtype=dout.dtype)
-    np.put_along_axis(dv, idx[..., None].astype(np.int64), dout[..., None], axis=-1)
     dx = np.zeros((b, h, w, c), dtype=dout.dtype)
-    dx[:, : h2 * 2, : w2 * 2, :] = (
-        dv.reshape(b, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(b, h2 * 2, w2 * 2, c)
-    )
+    for q in range(4):
+        np.copyto(dx[:, q // 2 : h2 * 2 : 2, q % 2 : w2 * 2 : 2], dout, where=idx == q)
     return dx
 
 

@@ -9,9 +9,12 @@ into a 110-wide feature row feeding the linear head.  The recurrent
 variant threads that 110-row through an equally wide LSTM cell before the
 head.
 
-Forward passes run the batch through the trunk in small chunks: the im2col
-buffers for a full 32-batch blow past the cache hierarchy and more than
-double the wall time.
+The trunk runs a batch in ``_CHUNK``-row chunks, side by side on the
+worker threads of :mod:`pool`, each at one BLAS thread.  Swept end to end
+on two cores, chunks of 2 rows cost about 60 ms more per update than 4;
+8 rows saved at most 5% per update but kept 15-18 MB more resident, since
+each worker holds on to its chunk's transient buffers; 16 rows was slower
+than 4 and kept about 60 MB more.
 """
 
 from __future__ import annotations
@@ -20,10 +23,13 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import layers
+from . import layers, pool
 
-#: Trunk micro-batch size; measured sweet spot for 84x84 inputs.
+#: Trunk micro-batch size: the fastest for 84x84 inputs whose transient
+#: buffers still fit the memory budget (see the module docstring).
 _CHUNK = 4
+#: Smallest frame side whose trunk chunks are worth running on the pool.
+_POOL_MIN_FRAME = 32
 
 
 @dataclass(frozen=True)
@@ -77,32 +83,55 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
+def _layout(arch: ArchitectureSpec) -> list[tuple[str, tuple[int, ...], int]]:
+    """Every parameter's name, shape and fan-in, in initialisation order; a
+    fan-in of 0 marks a parameter that is not drawn."""
+    layout = []
+    in_ch = 1
+    for n, (ch, k) in enumerate(zip(arch.conv_channels, arch.conv_kernels), start=1):
+        layout += [(f"conv{n}_k", (k, k, in_ch, ch), k * k * in_ch), (f"conv{n}_b", (ch,), 0)]
+        in_ch = ch
+    width = arch.feature_width
+    layout += [
+        ("dense1_w", (arch.flatten_size, arch.dense1_units), arch.flatten_size),
+        ("dense1_b", (arch.dense1_units,), 0),
+        ("dense2_w", (arch.dense1_units, arch.image_features), arch.dense1_units),
+        ("dense2_b", (arch.image_features,), 0),
+        ("map_w", (arch.map_cells, arch.map_features), arch.map_cells),
+        ("map_b", (arch.map_features,), 0),
+        ("map_slope", (), 0),
+    ]
+    if arch.recurrent:
+        layout += [("lstm_wx", (width, 4 * width), width), ("lstm_wh", (width, 4 * width), width),
+                   ("lstm_b", (4 * width,), 0)]
+    return layout + [("head_w", (width, arch.num_actions), width),
+                     ("head_b", (arch.num_actions,), 0)]
+
+
 def init_network(arch: ArchitectureSpec, seed: int, dtype=np.float32) -> QNetwork:
     """Seeded fan-in-scaled uniform initialisation; biases start at zero."""
     rng = np.random.default_rng(seed)
-    p: dict[str, np.ndarray] = {}
-    in_ch = 1
-    for n, (ch, k) in enumerate(zip(arch.conv_channels, arch.conv_kernels), start=1):
-        p[f"conv{n}_k"] = _uniform(rng, (k, k, in_ch, ch), k * k * in_ch, dtype)
-        p[f"conv{n}_b"] = np.zeros(ch, dtype=dtype)
-        in_ch = ch
-    p["dense1_w"] = _uniform(rng, (arch.flatten_size, arch.dense1_units), arch.flatten_size, dtype)
-    p["dense1_b"] = np.zeros(arch.dense1_units, dtype=dtype)
-    p["dense2_w"] = _uniform(rng, (arch.dense1_units, arch.image_features), arch.dense1_units, dtype)
-    p["dense2_b"] = np.zeros(arch.image_features, dtype=dtype)
-    p["map_w"] = _uniform(rng, (arch.map_cells, arch.map_features), arch.map_cells, dtype)
-    p["map_b"] = np.zeros(arch.map_features, dtype=dtype)
-    p["map_slope"] = np.asarray(0.25, dtype=dtype)
-    width = arch.feature_width
+    p = {name: _uniform(rng, shape, fan_in, dtype) if fan_in else np.zeros(shape, dtype=dtype)
+         for name, shape, fan_in in _layout(arch)}
+    p["map_slope"][...] = 0.25
     if arch.recurrent:
-        p["lstm_wx"] = _uniform(rng, (width, 4 * width), width, dtype)
-        p["lstm_wh"] = _uniform(rng, (width, 4 * width), width, dtype)
-        bias = np.zeros(4 * width, dtype=dtype)
-        bias[width : 2 * width] = 1.0  # forget-gate bias
-        p["lstm_b"] = bias
-    p["head_w"] = _uniform(rng, (width, arch.num_actions), width, dtype)
-    p["head_b"] = np.zeros(arch.num_actions, dtype=dtype)
+        width = arch.feature_width
+        p["lstm_b"][width : 2 * width] = 1.0  # forget-gate bias
     return QNetwork(arch=arch, params=p)
+
+
+def check_params(arch: ArchitectureSpec, params: dict[str, np.ndarray]) -> None:
+    """Raise ValueError naming a parameter that :func:`init_network` would
+    not build for ``arch``: missing, extra, or of another shape."""
+    expected = {name: shape for name, shape, _ in _layout(arch)}
+    for name in sorted(expected.keys() | params.keys()):
+        if name not in params:
+            raise ValueError(f"parameter {name!r} is missing")
+        if name not in expected:
+            raise ValueError(f"parameter {name!r} is not part of the architecture")
+        if params[name].shape != expected[name]:
+            raise ValueError(f"parameter {name!r} has shape {params[name].shape}, "
+                             f"the architecture needs {expected[name]}")
 
 
 def clone_params(net: QNetwork) -> QNetwork:
@@ -120,73 +149,81 @@ def _trunk_forward(net: QNetwork, frames: np.ndarray, drop_mask: np.ndarray | No
                    want_cache: bool):
     """Image trunk for one chunk.  ``frames`` is (B, H, W)."""
     p = net.params
-    x = frames[..., None]
-    c1, _ = layers.conv2d_forward(x, p["conv1_k"], p["conv1_b"])
-    r1, m1 = layers.relu_forward(c1)
-    p1, pc1 = layers.maxpool2_forward(r1)
-    c2, _ = layers.conv2d_forward(p1, p["conv2_k"], p["conv2_b"])
-    r2, m2 = layers.relu_forward(c2)
-    p2, pc2 = layers.maxpool2_forward(r2)
-    c3, _ = layers.conv2d_forward(p2, p["conv3_k"], p["conv3_b"])
-    r3, m3 = layers.relu_forward(c3)
-    p3, pc3 = layers.maxpool2_forward(r3)
-    flat = p3.reshape(p3.shape[0], -1)
+    act = frames[..., None]
+    stages = []
+    for n in range(1, len(net.arch.conv_channels) + 1):
+        conv, _ = layers.conv2d_forward(act, p[f"conv{n}_k"], p[f"conv{n}_b"])
+        pooled, pool_cache = layers.maxpool2_forward(np.maximum(conv, 0, out=conv))  # ReLU
+        del conv
+        if want_cache:
+            stages.append((act, pool_cache))
+        act = pooled
+    flat = act.reshape(act.shape[0], -1)
     z1, _ = layers.dense_forward(flat, p["dense1_w"], p["dense1_b"])
     a1, md1 = layers.relu_forward(z1)
     a1d = a1 * drop_mask if drop_mask is not None else a1
     z2, _ = layers.dense_forward(a1d, p["dense2_w"], p["dense2_b"])
     img, md2 = layers.relu_forward(z2)
-    cache = None
-    if want_cache:
-        cache = (x, m1, pc1, p1, m2, pc2, p2, m3, pc3, flat, md1, drop_mask, a1d, md2)
+    cache = (stages, flat, md1, drop_mask, a1d, md2) if want_cache else None
     return img, cache
 
 
-def _trunk_backward(net: QNetwork, dimg: np.ndarray, cache, grads: dict[str, np.ndarray]):
+def _trunk_backward(net: QNetwork, dimg: np.ndarray, cache) -> list[tuple[str, np.ndarray]]:
+    """Trunk gradients of one chunk, as (parameter name, gradient) pairs."""
     p = net.params
-    x, m1, pc1, p1, m2, pc2, p2, m3, pc3, flat, md1, drop_mask, a1d, md2 = cache
+    stages, flat, md1, drop_mask, a1d, md2 = cache
 
     dz2 = layers.relu_backward(dimg, md2)
-    da1d, dw, db = layers.dense_backward(dz2, a1d, p["dense2_w"])
-    grads["dense2_w"] += dw
-    grads["dense2_b"] += db
+    da1d, dw2, db2 = layers.dense_backward(dz2, a1d, p["dense2_w"])
     da1 = da1d * drop_mask if drop_mask is not None else da1d
     dz1 = layers.relu_backward(da1, md1)
-    dflat, dw, db = layers.dense_backward(dz1, flat, p["dense1_w"])
-    grads["dense1_w"] += dw
-    grads["dense1_b"] += db
+    dflat, dw1, db1 = layers.dense_backward(dz1, flat, p["dense1_w"])
+    grads = [("dense2_w", dw2), ("dense2_b", db2), ("dense1_w", dw1), ("dense1_b", db1)]
 
-    dp3 = dflat.reshape(dflat.shape[0], net.arch.pooled_size, net.arch.pooled_size,
-                        net.arch.conv_channels[-1])
-    dr3 = layers.maxpool2_backward(dp3, pc3)
-    dc3 = layers.relu_backward(dr3, m3)
-    dp2, dk, db = layers.conv2d_backward(dc3, p2, p["conv3_k"])
-    grads["conv3_k"] += dk
-    grads["conv3_b"] += db
-    dr2 = layers.maxpool2_backward(dp2, pc2)
-    dc2 = layers.relu_backward(dr2, m2)
-    dp1, dk, db = layers.conv2d_backward(dc2, p1, p["conv2_k"])
-    grads["conv2_k"] += dk
-    grads["conv2_b"] += db
-    dr1 = layers.maxpool2_backward(dp1, pc1)
-    dc1 = layers.relu_backward(dr1, m1)
-    _, dk, db = layers.conv2d_backward(dc1, x, p["conv1_k"], need_dx=False)
-    grads["conv1_k"] += dk
-    grads["conv1_b"] += db
+    size = net.arch.pooled_size
+    dact = dflat.reshape(dflat.shape[0], size, size, net.arch.conv_channels[-1])
+    pooled = flat.reshape(dact.shape)
+    for n in range(len(stages), 0, -1):
+        x, pool_cache = stages[n - 1]
+        # a pooled window's winner is positive exactly where the ReLU under
+        # it passed its gradient, so the ReLU mask is the pooled output's sign
+        dconv = layers.maxpool2_backward(layers.relu_backward(dact, pooled > 0), pool_cache)
+        dact, dk, db = layers.conv2d_backward(dconv, x, p[f"conv{n}_k"], need_dx=n > 1)
+        grads += [(f"conv{n}_k", dk), (f"conv{n}_b", db)]
+        pooled = x
+    return grads
 
 
 def _trunk(net: QNetwork, frames: np.ndarray, drop_mask: np.ndarray | None,
            want_cache: bool):
     """Image trunk over ``_CHUNK``-row chunks: (B, image_features) and the
-    per-chunk caches."""
-    imgs = []
-    chunk_caches = []
-    for s in range(0, frames.shape[0], _CHUNK):
+    per-chunk caches.
+
+    A pass that a backward follows computes every chunk at one BLAS thread,
+    so training rounds the same way on every machine.  A pass of more than
+    one chunk of production-sized frames runs its chunks on the pool, also
+    at one BLAS thread each.  The rest (action selection, a one-frame miss)
+    run inline with the process's BLAS threads."""
+    starts = range(0, frames.shape[0], _CHUNK)
+
+    def chunk(s: int):
         chunk_drop = drop_mask[s : s + _CHUNK] if drop_mask is not None else None
-        img, cache = _trunk_forward(net, frames[s : s + _CHUNK], chunk_drop, want_cache)
-        imgs.append(img)
-        chunk_caches.append(cache)
-    return np.concatenate(imgs, axis=0), chunk_caches
+        return _trunk_forward(net, frames[s : s + _CHUNK], chunk_drop, want_cache)
+
+    on_pool = _on_pool(net, len(starts))
+    if on_pool or want_cache:
+        with pool.one_blas_thread():
+            results = list(pool.map_chunks(chunk, starts, on_pool))
+    else:
+        results = [chunk(s) for s in starts]
+    return np.concatenate([img for img, _ in results], axis=0), [c for _, c in results]
+
+
+def _on_pool(net: QNetwork, chunks: int) -> bool:
+    """Whether a trunk pass of ``chunks`` chunks goes to the pool.  Chunks of
+    frames under ``_POOL_MIN_FRAME`` pixels a side finish in about the time
+    the workers take to hand the interpreter lock back and forth."""
+    return chunks > 1 and net.arch.frame_size >= _POOL_MIN_FRAME
 
 
 def image_features(net: QNetwork, frames: np.ndarray) -> np.ndarray:
@@ -231,8 +268,18 @@ def _features_backward(net: QNetwork, cache, dfeats: np.ndarray,
     _, dw, db = layers.dense_backward(dzm, rasters, p["map_w"])
     grads["map_w"] += dw
     grads["map_b"] += db
-    for n, chunk in enumerate(chunk_caches):
-        _trunk_backward(net, dimg[n * _CHUNK : n * _CHUNK + _CHUNK], chunk, grads)
+
+    def chunk(n: int):
+        return _trunk_backward(net, dimg[n * _CHUNK : n * _CHUNK + _CHUNK], chunk_caches[n])
+
+    # fold each chunk in as it completes, in chunk order, so the sums do not
+    # depend on which worker ran which chunk
+    with pool.one_blas_thread():
+        chunks = range(len(chunk_caches))
+        for chunk_grads in pool.map_chunks(chunk, chunks, _on_pool(net, len(chunks))):
+            for name, grad in chunk_grads:
+                grads[name] += grad
+            del chunk_grads, grad  # not held while the next chunk is awaited
 
 
 def q_from_features(net: QNetwork, img_feats: np.ndarray, rasters: np.ndarray) -> np.ndarray:

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import gridnav
 from gridnav.cli import EXIT_EPISODE_CAP, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from gridnav.nn import load_checkpoint
 
@@ -204,6 +208,25 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_training_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg", world_width=10, world_height=10,
+                           obstacle_density=10.0, goal_row=5, goal_col=5,
+                           max_steps_per_episode=12, exploration_train_interval=4,
+                           batch_size=8, replay_capacity=64)
+        src = os.path.dirname(os.path.dirname(gridnav.__file__))
+        artifacts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-m", "gridnav.cli", "train", "--config", cfg,
+                                   "--seed", "7", "--episodes", "2", "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == EXIT_EPISODE_CAP, done.stderr
+            artifacts.append([(out / name).read_bytes()
+                              for name in ("training_log.csv", "checkpoint.npz")])
+        assert artifacts[0] == artifacts[1]
+
     def test_drqn_runs_record_their_rule(self, tmp_path):
         train_out = tmp_path / "t"
         code = run_cli("train", "--config", write_config(tmp_path / "cfg", **TINY_TRAIN),
@@ -254,6 +277,27 @@ class TestEvaluate:
         code = run_cli("evaluate", "--checkpoint", str(tmp_path / "nope.npz"),
                        "--out", str(tmp_path / "o"))
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda params: params.pop("head_b"), "parameter 'head_b' is missing"),
+        (lambda params: params.update(dense1_w=params["dense1_w"][:, :128]),
+         "parameter 'dense1_w' has shape (6400, 128), the architecture needs (6400, 256)"),
+    ], ids=["missing", "misshapen"])
+    def test_checkpoint_that_does_not_fit_its_architecture_is_a_usage_error(
+            self, tmp_path, capsys, trained_tiny, damage, message):
+        with np.load(trained_tiny) as data:
+            arrays = dict(data)
+        params = {k.split("/", 1)[1]: arrays.pop(k) for k in list(arrays)
+                  if k.startswith("param/")}
+        damage(params)
+        broken = tmp_path / "broken.npz"
+        np.savez(broken, **arrays, **{f"param/{k}": v for k, v in params.items()})
+        out = tmp_path / "o"
+        code = run_cli("evaluate", "--config", write_config(tmp_path / "cfg", **EVAL_KEYS),
+                       "--checkpoint", str(broken), "--missions", "1,1:8,8", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_mission_yields_one_row(self, tmp_path, trained_tiny):
         cfg = write_config(tmp_path / "cfg", **EVAL_KEYS)

@@ -54,6 +54,43 @@ def test_conv2d_gradients(kernel_size, channels):
     check_grad(value, b, db)
 
 
+def im2col_conv2d(x, kernel, dout):
+    """Reference convolution: the batch's whole im2col matrix and one GEMM for
+    the output and the weight gradient, and the data gradient as the
+    convolution of the padded output gradient with the flipped kernel."""
+    def im2col(xp, kh, kw):
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+        b, h, w, c, _, _ = win.shape
+        return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(b * h * w, -1)
+
+    b, h, w, ci = x.shape
+    kh, kw, _, co = kernel.shape
+    pt, pb, pl, pr = (kh - 1) // 2, kh // 2, (kw - 1) // 2, kw // 2
+    cols = im2col(np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0))), kh, kw)
+    out = (cols @ kernel.reshape(-1, co)).reshape(b, h, w, co)
+    dk = (cols.T @ dout.reshape(-1, co)).reshape(kernel.shape)
+    kflip = kernel[::-1, ::-1].transpose(0, 1, 3, 2)
+    dcols = im2col(np.pad(dout, ((0, 0), (pb, pt), (pr, pl), (0, 0))), kh, kw)
+    dx = (dcols @ kflip.reshape(-1, ci)).reshape(x.shape)
+    return out, dx, dk
+
+
+@pytest.mark.parametrize("kernel_size,channels,size", [(8, (1, 32), 84), (4, (32, 64), 42),
+                                                      (3, (64, 64), 21), (4, (3, 2), 9)])
+def test_conv2d_matches_the_im2col_reference(kernel_size, channels, size):
+    rng = np.random.default_rng(size)
+    ci, co = channels
+    x = rng.standard_normal((3, size, size, ci)).astype(np.float32)
+    k = (rng.standard_normal((kernel_size, kernel_size, ci, co)) * 0.1).astype(np.float32)
+    dout = rng.standard_normal((3, size, size, co)).astype(np.float32)
+    out, cache = layers.conv2d_forward(x, k, np.zeros(co, np.float32))
+    dx, dk, _ = layers.conv2d_backward(dout, cache, k)
+    # the data gradient sums its terms in another order: float32 tolerance
+    for got, want in zip((out, dx, dk), im2col_conv2d(x, k, dout)):
+        assert got.dtype == np.float32 and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
+
+
 def test_conv2d_same_padding_preserves_shape():
     rng = np.random.default_rng(0)
     for size, kernel in ((84, 8), (42, 4), (21, 3)):
@@ -114,6 +151,30 @@ def test_maxpool_matches_the_argmax_reference(x):
     assert shape == x.shape
     assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
     assert idx.dtype == np.uint8 and np.array_equal(idx, ref_idx)
+
+
+def put_along_axis_maxpool2_backward(dout, cache):
+    """Reference pool backward: scatter into a (..., 4) window axis, then
+    fold the windows back into the image."""
+    (b, h, w, c), idx = cache
+    h2, w2 = h // 2, w // 2
+    dv = np.zeros((b, h2, w2, c, 4), dtype=dout.dtype)
+    np.put_along_axis(dv, idx[..., None].astype(np.int64), dout[..., None], axis=-1)
+    dx = np.zeros((b, h, w, c), dtype=dout.dtype)
+    dx[:, : h2 * 2, : w2 * 2, :] = (
+        dv.reshape(b, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(b, h2 * 2, w2 * 2, c))
+    return dx
+
+
+@pytest.mark.parametrize("shape", [(2, 84, 84, 4), (3, 21, 21, 3), (1, 10, 11, 2)])
+def test_maxpool_backward_matches_the_scatter_reference(shape):
+    rng = np.random.default_rng(shape[1])
+    x = np.round(rng.standard_normal(shape)).astype(np.float32)  # ties too
+    out, cache = layers.maxpool2_forward(x)
+    dout = rng.standard_normal(out.shape).astype(np.float32)
+    dout[0, 0, 0, 0] = -0.0
+    dx = layers.maxpool2_backward(dout, cache)
+    assert dx.tobytes() == put_along_axis_maxpool2_backward(dout, cache).tobytes()
 
 
 def test_relu_gradients():

@@ -1,7 +1,13 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import finite_difference, relative_error
 from gridnav import nn
+from gridnav.nn import pool
+from gridnav.nn.model import _CHUNK, _POOL_MIN_FRAME
 
 
 def rand_inputs(arch, batch, seed=0, dtype=np.float64):
@@ -113,6 +119,65 @@ class TestForward:
             [nn.forward(net, frames[i : i + 1], rasters[i : i + 1]) for i in range(7)]
         )
         assert np.allclose(q, singles)
+
+
+class TestPooledTrunk:
+    """Chunks run on the pool, one BLAS thread each, and are summed in chunk
+    order, so scheduling never shows in the bytes."""
+
+    @staticmethod
+    def one_chunk_at_a_time(fn, frames):
+        return np.concatenate([fn(frames[s : s + _CHUNK])
+                               for s in range(0, len(frames), _CHUNK)])
+
+    @pytest.mark.parametrize("rows", [1, _CHUNK, _CHUNK + 1, 8 * _CHUNK + 1])
+    def test_outputs_match_one_chunk_at_a_time(self, rows):
+        arch = nn.ArchitectureSpec()
+        net = nn.init_network(arch, seed=rows)
+        frames, rasters = rand_inputs(arch, rows, seed=rows, dtype=np.float32)
+        ref = self.one_chunk_at_a_time(lambda f: nn.image_features(net, f), frames)
+        assert nn.image_features(net, frames).tobytes() == ref.tobytes()
+        q, _ = nn.forward_cached(net, frames, rasters)
+        assert q.tobytes() == nn.q_from_features(net, ref, rasters).tobytes()
+
+    def test_backward_does_not_depend_on_scheduling(self, monkeypatch):
+        arch = nn.ArchitectureSpec()
+        net = nn.init_network(arch, seed=2)
+        frames, rasters = rand_inputs(arch, 8 * _CHUNK + 1, seed=2, dtype=np.float32)
+
+        def grads():
+            q, cache = nn.forward_cached(net, frames, rasters, mode="train", dropout_seed=4)
+            return {k: v.tobytes() for k, v in nn.backward(net, cache, np.ones_like(q)).items()}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter between workers often
+        try:
+            first, second = grads(), grads()
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(pool, "_executor", lambda: None)  # every chunk inline
+        assert first == second == grads()
+
+    def test_gradients_across_chunks_match_finite_differences(self, tiny_arch):
+        arch = replace(tiny_arch, frame_size=_POOL_MIN_FRAME)  # big enough for the pool
+        net = nn.init_network(arch, seed=11, dtype=np.float64)
+        frames, rasters = rand_inputs(arch, 2 * _CHUNK + 1, seed=11)
+        actions = np.arange(2 * _CHUNK + 1) % arch.num_actions
+        targets = np.linspace(-1.0, 1.0, 2 * _CHUNK + 1)
+
+        def loss(params):
+            q = nn.forward(nn.QNetwork(arch, params), frames, rasters, mode="train",
+                           dropout_seed=5)
+            return nn.mse_loss(q, targets, actions)
+
+        q, cache = nn.forward_cached(net, frames, rasters, mode="train", dropout_seed=5)
+        grads = nn.backward(net, cache, nn.mse_loss_grad(q, targets, actions)[1])
+        rng = np.random.default_rng(0)
+        for key, value in net.params.items():
+            for index in rng.choice(value.size, size=min(value.size, 6), replace=False):
+                numeric = finite_difference(loss, net.params, key, int(index))
+                analytic = float(grads[key].reshape(-1)[index])
+                assert relative_error(analytic, numeric) < 1e-4, f"{key}[{index}]"
 
 
 class TestRecurrent:

@@ -24,6 +24,7 @@ from gridnav.world import (
     WorldSpec,
     apply_weather,
     generate_world,
+    occupied_cells,
     render_frame,
 )
 
@@ -106,6 +107,20 @@ class TestExplorationPhase:
         ]
         for key in a.value_net.params:
             assert np.array_equal(a.value_net.params[key], b.value_net.params[key])
+
+    def test_free_cells_match_a_per_cell_loop(self):
+        rng = np.random.default_rng(4)
+        for trial in range(20):
+            width, height = (int(v) for v in rng.integers(1, 30, size=2))
+            spec = WorldSpec(domain=Domain.FOREST, width_m=width, height_m=height,
+                             obstacle_density=float(rng.choice([0.0, 5.0, 30.0])),
+                             seed=trial)
+            world = generate_world(spec)
+            blocked = occupied_cells(world)
+            loop = [(r, c) for r in range(height) for c in range(width)
+                    if GridCoord(r, c) not in blocked]
+            assert [tuple(cell) for cell in phases._free_cells(world).tolist()] == loop, \
+                f"trial {trial}"
 
 
 def fresh_agent(arch, config, seed=0):
