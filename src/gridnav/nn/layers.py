@@ -2,10 +2,10 @@
 
 Every forward returns ``(out, cache)`` and the matching backward consumes
 ``(dout, cache)``.  Convolutions are stride-1 with "same" padding, realised
-as im2col plus GEMM, one image (forward) or one kernel row (weight
-gradient) at a time so the patch matrix stays small; the data gradient is
-one small GEMM per kernel offset added into the padded input (kn2row),
-which needs no patch matrix of the output gradient at all.
+as im2col plus GEMM over a few images (forward) or kernel rows (weight
+gradient) at a time, so no patch matrix outgrows ``_BLOCK_BYTES``; the
+data gradient is one small GEMM per kernel offset added into the padded
+input (kn2row), which needs no patch matrix of the output gradient at all.
 
 Arrays are channels-last: images are ``(B, H, W, C)``.  All ops preserve
 their input dtype so the same code runs float32 for training and float64
