@@ -1,5 +1,9 @@
 """TD targets for the three update rules and mini-batch training.
 
+Every update reads B traces of T transitions: T = 1 for the feedforward
+net, a contiguous episode segment for the recurrent one.  Only the sampler
+tells the two apart; targets and the one forward/backward pass are shared.
+
 The rules differ only in how the bootstrap term enters the target:
 
 * DQN:   r + g * max over valid next actions of the target net's Q
@@ -75,22 +79,30 @@ def trunk_rows(net: nn.QNetwork, frames: list[np.ndarray], digests: list[bytes],
     return np.array([cache[digest] for digest in digests])
 
 
-def _next_state_q(net: nn.QNetwork, batch: list[Transition],
+def _stacked(batch: list[list[Transition]], name: str) -> np.ndarray:
+    """Field ``name`` of every step of ``batch``, (B, T, ...)."""
+    return np.array([[getattr(t, name) for t in trace] for trace in batch])
+
+
+def _next_state_q(net: nn.QNetwork, batch: list[list[Transition]],
                   rows: dict[bytes, np.ndarray]) -> np.ndarray:
-    """Eval-mode Q on the batch's next states, their trunk rows served from ``rows``."""
-    feats = trunk_rows(net, [t.next_frame for t in batch], [t.next_digest for t in batch], rows)
-    return nn.q_from_features(net, feats, np.stack([t.next_raster for t in batch]))
+    """Eval-mode Q on the batch's next states, (B, T, num_actions), their
+    trunk rows served from ``rows``."""
+    steps = [t for trace in batch for t in trace]
+    feats = trunk_rows(net, [t.next_frame for t in steps], [t.next_digest for t in steps], rows)
+    return nn.q_from_features(net, feats.reshape(len(batch), -1, feats.shape[1]),
+                              _stacked(batch, "next_raster"))
 
 
 def compute_targets(
     rule: UpdateRule,
-    batch: list[Transition],
+    batch: list[list[Transition]],
     value_net: nn.QNetwork,
     target_net: nn.QNetwork,
     gamma: float,
     target_rows: dict[bytes, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Eval-mode TD targets for a feedforward transition batch.
+    """Eval-mode TD targets (B*T,) of B traces of T transitions, batch-major.
 
     ``target_rows`` caches the target net's trunk rows across calls; the
     caller clears it whenever the target net changes.
@@ -102,13 +114,14 @@ def compute_targets(
         # the value net changed last step, so its rows only dedupe within
         # this one batch
         q_val = _next_state_q(value_net, batch, {})
+    actions = q_tgt.shape[-1]
     return td_targets(
         rule,
-        rewards=np.array([t.reward for t in batch]),
-        terminals=np.array([t.terminal for t in batch]),
-        q_next_value=q_val,
-        q_next_target=q_tgt,
-        valid_next=np.stack([t.valid_next for t in batch]),
+        rewards=_stacked(batch, "reward").reshape(-1),
+        terminals=_stacked(batch, "terminal").reshape(-1),
+        q_next_value=q_val.reshape(-1, actions),
+        q_next_target=q_tgt.reshape(-1, actions),
+        valid_next=_stacked(batch, "valid_next").reshape(-1, actions),
         gamma=gamma,
     )
 
@@ -122,80 +135,28 @@ def train_step(
     rng: np.random.Generator,
     target_rows: dict[bytes, np.ndarray] | None = None,
 ):
-    """One mini-batch update of the value network.
+    """One mini-batch update of the value network on B sampled traces.
 
     Returns ``(value_net, adam, loss)``, or ``None`` without drawing from
     ``rng`` when the buffer cannot yet supply a batch (feedforward) or one
     full trace (recurrent).  Only the value network receives gradients.
     """
+    # B traces of T transitions, T = 1 for a feedforward net
     if config.trace_length is not None:
-        return _train_step_recurrent(buffer, value_net, target_net, adam, config, rng)
-
-    if len(buffer) < config.batch_size:
+        batch = buffer.sample_sequences(config.batch_size, config.trace_length, rng)
+    elif len(buffer) >= config.batch_size:
+        batch = [[t] for t in buffer.sample(config.batch_size, rng)]
+    else:
+        batch = None
+    if batch is None:
         return None
-    batch = buffer.sample(config.batch_size, rng)
     targets = compute_targets(config.rule, batch, value_net, target_net, config.gamma,
                               target_rows=target_rows)
-
-    frames = np.stack([t.frame for t in batch])
-    rasters = np.stack([t.raster for t in batch])
-    actions = np.array([t.action for t in batch])
     dropout_seed = int(rng.integers(0, 2**63))
-    q, cache = nn.forward_cached(value_net, frames, rasters, mode="train",
-                                 dropout_seed=dropout_seed)
-    loss, dq = nn.mse_loss_grad(q, targets.astype(q.dtype), actions)
-    grads = nn.backward(value_net, cache, dq)
+    q, cache = nn.forward_cached(value_net, _stacked(batch, "frame"), _stacked(batch, "raster"),
+                                 mode="train", dropout_seed=dropout_seed)
+    loss, dq = nn.mse_loss_grad(q.reshape(-1, q.shape[-1]), targets.astype(q.dtype),
+                                _stacked(batch, "action").reshape(-1))
+    grads = nn.backward(value_net, cache, dq.reshape(q.shape))
     new_params, new_adam = nn.adam_step(value_net.params, grads, adam)
     return nn.QNetwork(arch=value_net.arch, params=new_params), new_adam, loss
-
-
-def _train_step_recurrent(
-    buffer: ReplayBuffer,
-    value_net: nn.QNetwork,
-    target_net: nn.QNetwork,
-    adam: nn.AdamState,
-    config: AgentConfig,
-    rng: np.random.Generator,
-):
-    sequences = buffer.sample_sequences(config.batch_size, config.trace_length, rng)
-    if sequences is None:
-        return None
-    t_len = config.trace_length
-
-    # (T, B, ...) stacks; hidden state threads from a zero start per segment.
-    frames = np.stack([[seq[t].frame for seq in sequences] for t in range(t_len)])
-    rasters = np.stack([[seq[t].raster for seq in sequences] for t in range(t_len)])
-    next_frames = np.stack([[seq[t].next_frame for seq in sequences] for t in range(t_len)])
-    next_rasters = np.stack([[seq[t].next_raster for seq in sequences] for t in range(t_len)])
-    actions = np.array([[seq[t].action for seq in sequences] for t in range(t_len)])
-    rewards = np.array([[seq[t].reward for seq in sequences] for t in range(t_len)])
-    terminals = np.array([[seq[t].terminal for seq in sequences] for t in range(t_len)])
-    valid_next = np.array([[seq[t].valid_next for seq in sequences] for t in range(t_len)])
-
-    q_tgt, _, _ = nn.forward_sequence(target_net, next_frames, next_rasters, mode="eval")
-    if config.rule == UpdateRule.DQN:
-        q_val = q_tgt
-    else:
-        q_val, _, _ = nn.forward_sequence(value_net, next_frames, next_rasters, mode="eval")
-
-    batch = len(sequences)
-    flat_targets = td_targets(
-        config.rule,
-        rewards=rewards.reshape(-1),
-        terminals=terminals.reshape(-1),
-        q_next_value=q_val.reshape(t_len * batch, -1),
-        q_next_target=q_tgt.reshape(t_len * batch, -1),
-        valid_next=valid_next.reshape(t_len * batch, -1),
-        gamma=config.gamma,
-    )
-
-    dropout_seed = int(rng.integers(0, 2**63))
-    q, _, cache = nn.forward_sequence(value_net, frames, rasters, mode="train",
-                                      dropout_seed=dropout_seed)
-    loss, dq_flat = nn.mse_loss_grad(
-        q.reshape(t_len * batch, -1), flat_targets.astype(q.dtype), actions.reshape(-1)
-    )
-    grads = nn.backward_sequence(value_net, cache, dq_flat.reshape(q.shape))
-    new_params, new_adam = nn.adam_step(value_net.params, grads, adam)
-    return nn.QNetwork(arch=value_net.arch, params=new_params), new_adam, loss
-

@@ -113,7 +113,8 @@ class _Learner:
         self._target_rows: dict[bytes, np.ndarray] = {}
 
     def q_values(self, state: _State) -> np.ndarray:
-        """The value net's eval-mode Q-values at ``state``."""
+        """The value net's eval-mode Q-values at ``state``, as a one-step
+        trace: a recurrent net's LSTM starts from the zero state."""
         rows = trunk_rows(self.value_net, [state.frame], [state.digest], self._value_rows)
         return nn.q_from_features(self.value_net, rows, state.raster[None])[0]
 

@@ -289,9 +289,13 @@ def cmd_evaluate(config: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: checkpoint {config.checkpoint!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        missions = _parse_mission_list(config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     out = _ensure_out(config)
 
-    missions = _parse_mission_list(config)
     reports = []
     if missions:
         for spec in missions:

@@ -16,7 +16,6 @@ from .reports import (
     MissionReport,
     decay_results_to_csv,
     emit_report,
-    mission_reports_from_json,
     mission_reports_to_csv,
     mission_reports_to_json,
     route_trace_svg,
@@ -35,7 +34,6 @@ __all__ = [
     "decay_fixed_point",
     "decay_results_to_csv",
     "emit_report",
-    "mission_reports_from_json",
     "mission_reports_to_csv",
     "mission_reports_to_json",
     "route_trace_svg",

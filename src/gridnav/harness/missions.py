@@ -49,6 +49,10 @@ class AgentCheckpoint:
     @staticmethod
     def load(path, config: AgentConfig) -> "AgentCheckpoint":
         net, adam, _ = nn.load_checkpoint(path)
+        if net.arch.recurrent != (config.trace_length is not None):
+            kinds = ("feedforward", "recurrent")
+            raise ValueError(f"holds a {kinds[net.arch.recurrent]} network, rule "
+                             f"{config.rule_name} needs a {kinds[not net.arch.recurrent]} one")
         if adam is None:
             adam = nn.init_adam(net.params, learning_rate=config.learning_rate)
         return AgentCheckpoint(

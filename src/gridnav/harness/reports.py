@@ -124,29 +124,6 @@ def mission_reports_to_json(reports: list[MissionReport]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def mission_reports_from_json(text: str) -> list[MissionReport]:
-    doc = json.loads(text)
-    if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema {doc.get('schema_version')}")
-    return [
-        MissionReport(
-            completed=bool(r["completed"]),
-            distance_m=float(r["distance_m"]),
-            time_s=int(r["time_s"]),
-            obstacles=int(r["obstacles"]),
-            predictions=int(r["predictions"]),
-            corrections=int(r["corrections"]),
-            random=int(r["random"]),
-            route=[GridCoord(int(a), int(b)) for a, b in r["route"]],
-            method=r["method"],
-            domain=r["domain"],
-            weather_kind=r["weather_kind"],
-            weather_intensity=float(r["weather_intensity"]),
-        )
-        for r in doc["reports"]
-    ]
-
-
 def decay_results_to_csv(results: list[DecayExperimentResult]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -1,16 +1,13 @@
 """From-scratch neural-network engine for the double-input Q-network."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .loss import mse_loss, mse_loss_grad
+from .loss import mse_loss_grad
 from .model import (
     ArchitectureSpec,
     QNetwork,
     backward,
-    backward_sequence,
     clone_params,
-    forward,
     forward_cached,
-    forward_sequence,
     image_features,
     init_network,
     q_from_features,
@@ -23,16 +20,12 @@ __all__ = [
     "AdamState",
     "adam_step",
     "backward",
-    "backward_sequence",
     "clone_params",
-    "forward",
     "forward_cached",
-    "forward_sequence",
     "image_features",
     "init_adam",
     "init_network",
     "load_checkpoint",
-    "mse_loss",
     "mse_loss_grad",
     "q_from_features",
     "save_checkpoint",

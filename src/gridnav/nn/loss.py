@@ -9,34 +9,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def _gather_targets(target: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    if target.ndim == 2:
-        return target[np.arange(target.shape[0]), actions]
-    return target
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray, actions: np.ndarray) -> float:
-    """Mean over the batch of the squared error on each taken action.
-
-    ``pred`` is (B, A); ``target`` is either per-sample scalars (B,) or a
-    full (B, A) array from which the taken action's entry is used;
-    ``actions`` holds the taken action index per sample.
-    """
-    if pred.shape[0] == 0:
-        raise ValueError("empty batch")
-    taken = pred[np.arange(pred.shape[0]), actions]
-    err = taken - _gather_targets(target, actions)
-    return float(np.mean(err**2))
-
-
 def mse_loss_grad(pred: np.ndarray, target: np.ndarray, actions: np.ndarray):
-    """Loss plus its gradient with respect to ``pred`` (zero off the taken action)."""
+    """Mean over the batch of the squared error on each taken action, and its
+    gradient with respect to ``pred`` (zero off the taken action).
+
+    ``pred`` is (B, A), ``target`` holds one scalar per sample (B,), and
+    ``actions`` the taken action index per sample.
+    """
     if pred.shape[0] == 0:
         raise ValueError("empty batch")
     batch = pred.shape[0]
     idx = np.arange(batch)
-    taken = pred[idx, actions]
-    err = taken - _gather_targets(target, actions)
+    err = pred[idx, actions] - target
     dpred = np.zeros_like(pred)
     dpred[idx, actions] = 2.0 * err / batch
     return float(np.mean(err**2)), dpred

@@ -5,9 +5,10 @@ pair to four Q-values ordered (N, S, E, W).  The image trunk is three
 conv+pool stages (84 -> 42 -> 21 -> 10 spatially) into two dense layers
 producing a 10-wide clutter embedding; the map branch is a single dense
 layer with a learnable-slope PReLU keeping 100 features; both concatenate
-into a 110-wide feature row feeding the linear head.  The recurrent
-variant threads that 110-row through an equally wide LSTM cell before the
-head.
+into a 110-wide feature row feeding the linear head.  One forward and one
+backward serve both variants, over B traces of T steps (a flat batch is B
+one-step traces): trunk and map branch map each step on its own, and only
+the recurrent variant's head differs, an equally wide LSTM run along T.
 
 The trunk runs a batch in ``_CHUNK``-row chunks, side by side on the
 worker threads of :mod:`pool`, each at one BLAS thread.  Swept end to end
@@ -241,16 +242,16 @@ def _map_branch(net: QNetwork, rasters: np.ndarray):
 
 
 def _features_forward(net: QNetwork, frames: np.ndarray, rasters: np.ndarray, mode: str,
-                      dropout_seed: int, want_cache: bool):
-    """Trunk plus map branch: the (B, feature_width) rows the head or the LSTM
-    reads, and the ``(chunk_caches, rasters, zm)`` cache of
-    :func:`_features_backward`.  ``frames`` and ``rasters`` are flat batches
-    already in the parameter dtype."""
+                      dropout_seed: int):
+    """Trunk plus map branch: the (N, feature_width) rows the head reads, and
+    the ``(chunk_caches, rasters, zm)`` cache of :func:`_features_backward`.
+    ``frames`` and ``rasters`` are flat row batches already in the parameter
+    dtype; in train mode row n takes dropout row n."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     drop = (_dropout_mask(net.arch, frames.shape[0], dropout_seed, frames.dtype)
             if mode == "train" else None)
-    img, chunk_caches = _trunk(net, frames, drop, want_cache)
+    img, chunk_caches = _trunk(net, frames, drop, want_cache=True)
     m, zm = _map_branch(net, rasters)
     return np.concatenate([img, m], axis=1), (chunk_caches, rasters, zm)
 
@@ -282,116 +283,108 @@ def _features_backward(net: QNetwork, cache, dfeats: np.ndarray,
             del chunk_grads, grad  # not held while the next chunk is awaited
 
 
+def _time_major(x: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """The steps of ``x``, whose leading shape ``lead`` is (B, T) or a flat
+    (B,), as rows in time-major order: step t of trace b is row t*B + b."""
+    if len(lead) == 1:
+        return x
+    return np.ascontiguousarray(np.swapaxes(x, 0, 1)).reshape(-1, *x.shape[2:])
+
+
+def _batch_major(rows: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`_time_major`."""
+    if len(lead) == 1:
+        return rows
+    return np.swapaxes(rows.reshape(lead[1], lead[0], -1), 0, 1)
+
+
+def _head_forward(net: QNetwork, rows: np.ndarray, batch: int, hidden=None):
+    """Q-values (T*B, num_actions) of the time-major feature rows (T*B,
+    feature_width) of ``batch`` traces, and the cache of
+    :func:`_head_backward`.  A recurrent net first runs its LSTM along T from
+    ``hidden`` = (h, c), or the zero state, and the head reads its rectified
+    hidden states."""
+    p = net.params
+    mask = lstm_cache = None
+    if net.arch.recurrent:
+        if hidden is None:
+            zeros = np.zeros((batch, rows.shape[1]), dtype=rows.dtype)
+            hidden = zeros, zeros
+        hs, _, lstm_cache = layers.lstm_forward(rows.reshape(-1, batch, rows.shape[1]),
+                                                p["lstm_wx"], p["lstm_wh"], p["lstm_b"], *hidden)
+        rows, mask = layers.relu_forward(hs.reshape(rows.shape))
+    q, _ = layers.dense_forward(rows, p["head_w"], p["head_b"])
+    return q, (rows, mask, lstm_cache)
+
+
+def _head_backward(net: QNetwork, cache, dq: np.ndarray,
+                   grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Accumulate the head's (and LSTM's) gradients; returns the gradient on
+    the feature rows :func:`_head_forward` read, time-major (T*B, width)."""
+    rows, mask, lstm_cache = cache
+    p = net.params
+    drows, dw, db = layers.dense_backward(dq, rows, p["head_w"])
+    grads["head_w"] += dw
+    grads["head_b"] += db
+    if net.arch.recurrent:
+        dhs = layers.relu_backward(drows, mask).reshape(len(lstm_cache), -1, rows.shape[1])
+        dfeats, dwx, dwh, dbl, _, _ = layers.lstm_backward(dhs, lstm_cache, p["lstm_wx"],
+                                                           p["lstm_wh"])
+        grads["lstm_wx"] += dwx
+        grads["lstm_wh"] += dwh
+        grads["lstm_b"] += dbl
+        drows = dfeats.reshape(rows.shape)
+    return drows
+
+
 def q_from_features(net: QNetwork, img_feats: np.ndarray, rasters: np.ndarray) -> np.ndarray:
-    """Head evaluation given precomputed trunk features (feedforward only)."""
+    """Eval-mode Q-values given precomputed trunk rows: ``img_feats`` (B, T,
+    image_features) and ``rasters`` (B, T, map_cells), or a flat batch of B
+    one-step traces, give Q-values of the same leading shape, as
+    :func:`forward_cached` would."""
     dtype = net.params["head_w"].dtype
     rasters = np.asarray(rasters, dtype=dtype)
-    m, _ = _map_branch(net, rasters)
-    cat = np.concatenate([img_feats, m], axis=1)
-    q, _ = layers.dense_forward(cat, net.params["head_w"], net.params["head_b"])
-    return q
-
-
-def forward(net: QNetwork, frames: np.ndarray, rasters: np.ndarray, mode: str = "eval",
-            dropout_seed: int = 0) -> np.ndarray:
-    """Q-values (B, num_actions) for a batch of (frame, raster) pairs."""
-    q, _ = forward_cached(net, frames, rasters, mode=mode, dropout_seed=dropout_seed,
-                          want_cache=False)
-    return q
+    lead = rasters.shape[:-1]
+    m, _ = _map_branch(net, _time_major(rasters, lead))
+    cat = np.concatenate([_time_major(img_feats, lead), m], axis=1)
+    q, _ = _head_forward(net, cat, lead[0])
+    return _batch_major(q, lead)
 
 
 def forward_cached(net: QNetwork, frames: np.ndarray, rasters: np.ndarray, mode: str = "eval",
-                   dropout_seed: int = 0, want_cache: bool = True):
-    """Forward pass retaining per-chunk caches for :func:`backward`."""
-    if net.arch.recurrent:
-        raise ValueError("use forward_sequence for recurrent networks")
+                   dropout_seed: int = 0, hidden: tuple[np.ndarray, np.ndarray] | None = None):
+    """Q-values of B traces of T steps, and the cache of :func:`backward`.
+
+    ``frames`` is (B, T, H, W) and ``rasters`` (B, T, map_cells); a flat
+    (B, H, W) and (B, map_cells) batch is B one-step traces.  The Q-values
+    have the same leading shape.  The trunk and map branch run on the steps
+    time-major, so step t of trace b takes dropout row t*B + b in train
+    mode.  A feedforward net maps every step on its own; a recurrent net
+    runs its LSTM along T from ``hidden`` = (h, c), or the zero state.
+    """
+    arch = net.arch
     dtype = net.params["head_w"].dtype
     frames = np.ascontiguousarray(frames, dtype=dtype)
     rasters = np.ascontiguousarray(rasters, dtype=dtype)
-    if frames.shape[1:] != (net.arch.frame_size, net.arch.frame_size):
+    lead = frames.shape[:-2]
+    if frames.ndim not in (3, 4) or frames.shape[-2:] != (arch.frame_size, arch.frame_size):
         raise ValueError(f"frame batch shape {frames.shape} does not match architecture")
-    if rasters.shape[1:] != (net.arch.map_cells,):
+    if rasters.shape != (*lead, arch.map_cells):
         raise ValueError(f"raster batch shape {rasters.shape} does not match architecture")
+    if 0 in lead:
+        raise ValueError(f"empty batch of shape {frames.shape}")
 
-    cat, feat_cache = _features_forward(net, frames, rasters, mode, dropout_seed, want_cache)
-    q, _ = layers.dense_forward(cat, net.params["head_w"], net.params["head_b"])
-    return q, (*feat_cache, cat) if want_cache else None
-
-
-def zero_grads(net: QNetwork) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in net.params.items()}
+    cat, feat_cache = _features_forward(net, _time_major(frames, lead),
+                                        _time_major(rasters, lead), mode, dropout_seed)
+    q, head_cache = _head_forward(net, cat, lead[0], hidden)
+    return _batch_major(q, lead), (feat_cache, head_cache)
 
 
 def backward(net: QNetwork, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss with upstream derivative ``dq`` on the Q output."""
-    *feat_cache, cat = cache
-    grads = zero_grads(net)
-    dcat, dw, db = layers.dense_backward(dq, cat, net.params["head_w"])
-    grads["head_w"] += dw
-    grads["head_b"] += db
-    _features_backward(net, feat_cache, dcat, grads)
-    return grads
-
-
-def forward_sequence(net: QNetwork, frames: np.ndarray, rasters: np.ndarray,
-                     hidden: tuple[np.ndarray, np.ndarray] | None = None,
-                     mode: str = "eval", dropout_seed: int = 0):
-    """Recurrent forward over (T, B, ...) sequences.
-
-    Returns (q, (h_T, c_T), cache) with q of shape (T, B, num_actions).
-    The same trunk and map branch run per timestep; the concatenated
-    feature rows thread through the LSTM whose rectified hidden state
-    feeds the head.
-    """
-    if not net.arch.recurrent:
-        raise ValueError("use forward/forward_cached for feedforward networks")
-    if frames.ndim != 4:
-        raise ValueError("frames must be (T, B, H, W)")
-    t_len, batch = frames.shape[0], frames.shape[1]
-    if t_len < 1:
-        raise ValueError("sequence length must be >= 1")
-    dtype = net.params["head_w"].dtype
-    frames = np.ascontiguousarray(frames, dtype=dtype).reshape(t_len * batch, *frames.shape[2:])
-    rasters = np.ascontiguousarray(rasters, dtype=dtype).reshape(t_len * batch, -1)
-
-    feats, feat_cache = _features_forward(net, frames, rasters, mode, dropout_seed,
-                                          want_cache=True)
-    feats = feats.reshape(t_len, batch, -1)
-
-    width = net.arch.feature_width
-    if hidden is None:
-        h0 = np.zeros((batch, width), dtype=dtype)
-        c0 = np.zeros((batch, width), dtype=dtype)
-    else:
-        h0, c0 = hidden
-    hs, (h_t, c_t), lstm_cache = layers.lstm_forward(
-        feats, net.params["lstm_wx"], net.params["lstm_wh"], net.params["lstm_b"], h0, c0
-    )
-    rh, rh_mask = layers.relu_forward(hs.reshape(t_len * batch, width))
-    q, _ = layers.dense_forward(rh, net.params["head_w"], net.params["head_b"])
-    q = q.reshape(t_len, batch, -1)
-    cache = (*feat_cache, lstm_cache, rh, rh_mask, (t_len, batch))
-    return q, (h_t, c_t), cache
-
-
-def backward_sequence(net: QNetwork, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients for :func:`forward_sequence`; ``dq`` is (T, B, num_actions)."""
-    *feat_cache, lstm_cache, rh, rh_mask, (t_len, batch) = cache
-    p = net.params
-    grads = zero_grads(net)
-    width = net.arch.feature_width
-
-    dq_flat = dq.reshape(t_len * batch, -1)
-    drh, dw, db = layers.dense_backward(dq_flat, rh, p["head_w"])
-    grads["head_w"] += dw
-    grads["head_b"] += db
-    dhs = layers.relu_backward(drh, rh_mask).reshape(t_len, batch, width)
-
-    dfeats, dwx, dwh, dbl, _, _ = layers.lstm_backward(
-        dhs, lstm_cache, p["lstm_wx"], p["lstm_wh"]
-    )
-    grads["lstm_wx"] += dwx
-    grads["lstm_wh"] += dwh
-    grads["lstm_b"] += dbl
-    _features_backward(net, feat_cache, dfeats.reshape(t_len * batch, width), grads)
+    """Gradients of a scalar loss whose derivative on the Q-values of
+    :func:`forward_cached` is ``dq``, shaped like them."""
+    feat_cache, head_cache = cache
+    grads = {k: np.zeros_like(v) for k, v in net.params.items()}
+    dfeats = _head_backward(net, head_cache, _time_major(dq, dq.shape[:-1]), grads)
+    _features_backward(net, feat_cache, dfeats, grads)
     return grads

@@ -162,8 +162,8 @@ def test_criterion_3_gradient_oracle():
 
         def loss_fn(params, _m=mode, _s=seed):
             probe = nn.QNetwork(arch=arch, params=params)
-            q = nn.forward(probe, frames, rasters, mode=_m, dropout_seed=_s)
-            return nn.mse_loss(q, targets, actions)
+            q, _ = nn.forward_cached(probe, frames, rasters, mode=_m, dropout_seed=_s)
+            return nn.mse_loss_grad(q, targets, actions)[0]
 
         q, cache = nn.forward_cached(net, frames, rasters, mode=mode, dropout_seed=seed)
         _, dq = nn.mse_loss_grad(q, targets, actions)
@@ -174,23 +174,23 @@ def test_criterion_3_gradient_oracle():
     for seed in range(14, 20):
         rng = np.random.default_rng(seed)
         net = nn.init_network(arch_r, seed=seed, dtype=np.float64)
-        frames = rng.uniform(-1, 1, (3, 2, 12, 12))
-        rasters = rng.uniform(-1, 1, (3, 2, 6))
-        actions = rng.integers(0, 4, (3, 2))
-        targets = rng.uniform(-1, 1, (3, 2))
+        frames = rng.uniform(-1, 1, (2, 3, 12, 12))  # 2 traces of 3 steps
+        rasters = rng.uniform(-1, 1, (2, 3, 6))
+        actions = rng.integers(0, 4, (2, 3))
+        targets = rng.uniform(-1, 1, (2, 3))
 
         def loss_fn(params):
             probe = nn.QNetwork(arch=arch_r, params=params)
-            q, _, _ = nn.forward_sequence(probe, frames, rasters)
+            q, _ = nn.forward_cached(probe, frames, rasters)
             taken = np.take_along_axis(q, actions[..., None], axis=2)[..., 0]
             return float(np.mean((taken - targets) ** 2))
 
-        q, _, cache = nn.forward_sequence(net, frames, rasters)
+        q, cache = nn.forward_cached(net, frames, rasters)
         taken = np.take_along_axis(q, actions[..., None], axis=2)[..., 0]
         dq = np.zeros_like(q)
         np.put_along_axis(dq, actions[..., None],
                           (2.0 * (taken - targets) / targets.size)[..., None], axis=2)
-        grads = nn.backward_sequence(net, cache, dq)
+        grads = nn.backward(net, cache, dq)
         worst = max(worst, _check_all_gradients(loss_fn, net.params, grads))
 
     elapsed = time.time() - started

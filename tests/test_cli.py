@@ -299,6 +299,30 @@ class TestEvaluate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("checkpoint, rule, message", [
+        ("trained_tiny", "drqn100",
+         "holds a feedforward network, rule drqn100 needs a recurrent one"),
+        ("trained_drqn", "dqn", "holds a recurrent network, rule dqn needs a feedforward one"),
+    ], ids=["feedforward-as-drqn100", "recurrent-as-dqn"])
+    def test_checkpoint_that_does_not_fit_the_rule_is_a_usage_error(
+            self, request, tmp_path, capsys, checkpoint, rule, message):
+        out = tmp_path / "o"
+        code = run_cli("evaluate", "--config", write_config(tmp_path / "cfg", **EVAL_KEYS),
+                       "--rule", rule, "--checkpoint", str(request.getfixturevalue(checkpoint)),
+                       "--missions", "1,1:8,8", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_mission_entry_is_a_usage_error(self, tmp_path, capsys, trained_tiny):
+        out = tmp_path / "badm"
+        code = run_cli("evaluate", "--config", write_config(tmp_path / "cfg", **EVAL_KEYS),
+                       "--checkpoint", str(trained_tiny), "--missions", "1,1:x",
+                       "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "bad mission entry '1,1:x'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_mission_yields_one_row(self, tmp_path, trained_tiny):
         cfg = write_config(tmp_path / "cfg", **EVAL_KEYS)
         out = tmp_path / "o"

@@ -100,7 +100,7 @@ def fill_buffer(net, arch, count, rng, terminal_reward=None):
         raster = rng.uniform(-1, 1, arch.map_cells).astype(np.float32)
         action = int(rng.integers(0, 4))
         if terminal_reward is None:
-            q = nn.forward(net, frame[None], raster[None])[0]
+            q = nn.forward_cached(net, frame[None], raster[None])[0][0]
             r = float(q[action])
         else:
             r = terminal_reward
@@ -153,20 +153,31 @@ class TestTrainStep:
             losses.append(loss)
         assert losses[-1] < 0.05 * losses[0]
 
-    def test_gradients_do_not_touch_the_target_network(self, tiny_arch):
-        net = nn.init_network(tiny_arch, seed=3)
+    @pytest.mark.parametrize("arch_name", ["tiny_arch", "tiny_recurrent_arch"])
+    @pytest.mark.parametrize("rule", list(UpdateRule))
+    def test_an_update_changes_only_the_value_net(self, request, arch_name, rule):
+        arch = request.getfixturevalue(arch_name)
+        config = AgentConfig(batch_size=4, rule=rule,
+                             trace_length=5 if arch.recurrent else None)
+        net = nn.init_network(arch, seed=3)
         target = nn.clone_params(net)
         before = {k: v.copy() for k, v in target.params.items()}
         rng = np.random.default_rng(3)
-        buf = fill_buffer(net, tiny_arch, 8, rng, terminal_reward=1.0)
-        config = AgentConfig(batch_size=8, target_sync_every=1000)
+        buf = ReplayBuffer(capacity=50)
+        for t in random_transitions(arch, 3, rng):  # short of a batch and of a trace
+            buf.push(t)
+        state = rng.bit_generator.state
+        assert train_step(buf, net, target, nn.init_adam(net.params), config, rng) is None
+        assert rng.bit_generator.state == state
+
+        for t in random_transitions(arch, 5, rng):
+            buf.push(t)
+        items = list(buf._items)
         new_net, _, _ = train_step(buf, net, target, nn.init_adam(net.params), config, rng)
-        changed = any(
-            not np.array_equal(new_net.params[k], net.params[k]) for k in net.params
-        )
-        assert changed
+        assert any(not np.array_equal(new_net.params[k], net.params[k]) for k in net.params)
         for key in before:
             assert np.array_equal(target.params[key], before[key])
+        assert len(buf) == len(items) and all(a is b for a, b in zip(buf._items, items))
 
     def test_recurrent_variant_needs_one_full_trace(self, tiny_recurrent_arch):
         net = nn.init_network(tiny_recurrent_arch, seed=4)
@@ -244,13 +255,17 @@ def random_transitions(arch, count, rng):
 
 
 class TestTrunkRows:
+    @pytest.mark.parametrize("arch_name", ["tiny_arch", "tiny_recurrent_arch"])
     @pytest.mark.parametrize("rule", list(UpdateRule))
-    def test_a_shared_target_cache_gives_the_targets_of_a_fresh_one(self, tiny_arch, rule):
-        value = nn.init_network(tiny_arch, seed=7)
-        target = nn.init_network(tiny_arch, seed=8)
+    def test_a_shared_target_cache_gives_the_targets_of_a_fresh_one(self, request, arch_name,
+                                                                    rule):
+        arch = request.getfixturevalue(arch_name)
+        steps = 3 if arch.recurrent else 1
+        value = nn.init_network(arch, seed=7)
+        target = nn.init_network(arch, seed=8)
         rng = np.random.default_rng(7)
-        first = random_transitions(tiny_arch, 4, rng)
-        second = random_transitions(tiny_arch, 4, rng)
+        first = [random_transitions(arch, steps, rng) for _ in range(4)]
+        second = [random_transitions(arch, steps, rng) for _ in range(4)]
         shared: dict = {}
         compute_targets(rule, first, value, target, 0.95, target_rows=shared)
         got = compute_targets(rule, second, value, target, 0.95, target_rows=shared)
@@ -286,6 +301,17 @@ class TestTrunkRows:
         state = _State(local=None, facing=Action.NORTH, frame=t.frame,
                        digest=frame_digest(t.frame), raster=t.raster)
         for _ in range(3):
-            want = nn.forward(learner.value_net, t.frame[None], t.raster[None])[0]
-            assert np.array_equal(learner.q_values(state), want)
+            want, _ = nn.forward_cached(learner.value_net, t.frame[None], t.raster[None])
+            assert np.array_equal(learner.q_values(state), want[0])
             assert learner.update(rng) is not None
+
+    def test_recurrent_action_values_run_the_lstm_from_the_zero_state(self,
+                                                                      tiny_recurrent_arch):
+        net = nn.init_network(tiny_recurrent_arch, seed=11)
+        t = random_transitions(tiny_recurrent_arch, 1, np.random.default_rng(11))[0]
+        learner = _Learner(value_net=net, target_net=net, adam=nn.init_adam(net.params),
+                           buffer=ReplayBuffer(), config=AgentConfig(trace_length=5))
+        state = _State(local=None, facing=Action.NORTH, frame=t.frame,
+                       digest=frame_digest(t.frame), raster=t.raster)
+        want, _ = nn.forward_cached(net, t.frame[None, None], t.raster[None, None])
+        assert np.array_equal(learner.q_values(state), want[0, 0])

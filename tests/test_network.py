@@ -10,6 +10,11 @@ from gridnav.nn import pool
 from gridnav.nn.model import _CHUNK, _POOL_MIN_FRAME
 
 
+def forward(net, frames, rasters, **kwargs):
+    """Q-values of :func:`nn.forward_cached`, without its cache."""
+    return nn.forward_cached(net, frames, rasters, **kwargs)[0]
+
+
 def rand_inputs(arch, batch, seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
     frames = rng.uniform(-1, 1, (batch, arch.frame_size, arch.frame_size)).astype(dtype)
@@ -64,43 +69,43 @@ class TestForward:
             net.params[key] = np.zeros_like(net.params[key])
         net.params["head_b"] = np.array([0.1, -0.2, 0.3, 0.4])
         frames, rasters = rand_inputs(tiny_arch, 3)
-        q = nn.forward(net, frames, rasters)
+        q = forward(net, frames, rasters)
         assert np.allclose(q, np.tile([0.1, -0.2, 0.3, 0.4], (3, 1)))
 
     def test_eval_mode_is_deterministic(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=1)
         frames, rasters = rand_inputs(tiny_arch, 4)
-        a = nn.forward(net, frames, rasters, mode="eval")
-        b = nn.forward(net, frames, rasters, mode="eval")
+        a = forward(net, frames, rasters, mode="eval")
+        b = forward(net, frames, rasters, mode="eval")
         assert np.array_equal(a, b)
 
     def test_train_mode_dropout_is_seeded(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=1)
         frames, rasters = rand_inputs(tiny_arch, 4)
-        a = nn.forward(net, frames, rasters, mode="train", dropout_seed=3)
-        b = nn.forward(net, frames, rasters, mode="train", dropout_seed=3)
-        c = nn.forward(net, frames, rasters, mode="train", dropout_seed=4)
+        a = forward(net, frames, rasters, mode="train", dropout_seed=3)
+        b = forward(net, frames, rasters, mode="train", dropout_seed=3)
+        c = forward(net, frames, rasters, mode="train", dropout_seed=4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_map_input_changes_the_output(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=2)
         frames, rasters = rand_inputs(tiny_arch, 2)
-        q1 = nn.forward(net, frames, rasters)
+        q1 = forward(net, frames, rasters)
         rasters2 = rasters.copy()
         rasters2[:, 0] += 0.5
-        q2 = nn.forward(net, frames, rasters2)
+        q2 = forward(net, frames, rasters2)
         assert not np.allclose(q1, q2)
 
     def test_shape_mismatch_rejected(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=0)
         frames, rasters = rand_inputs(tiny_arch, 2)
         with pytest.raises(ValueError):
-            nn.forward(net, frames[:, :-1, :], rasters)
+            forward(net, frames[:, :-1, :], rasters)
         with pytest.raises(ValueError):
-            nn.forward(net, frames, rasters[:, :-1])
+            forward(net, frames, rasters[:, :-1])
         with pytest.raises(ValueError):
-            nn.forward(net, frames, rasters, mode="predict")
+            forward(net, frames, rasters, mode="predict")
 
     def test_feature_split_matches_full_forward(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=3)
@@ -108,15 +113,15 @@ class TestForward:
         feats = nn.image_features(net, frames)
         assert feats.shape == (5, tiny_arch.image_features)
         q_split = nn.q_from_features(net, feats, rasters)
-        q_full = nn.forward(net, frames, rasters, mode="eval")
+        q_full = forward(net, frames, rasters, mode="eval")
         assert np.allclose(q_split, q_full)
 
     def test_chunking_is_invisible(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=4)
         frames, rasters = rand_inputs(tiny_arch, 7)  # not a multiple of the chunk
-        q = nn.forward(net, frames, rasters)
+        q = forward(net, frames, rasters)
         singles = np.concatenate(
-            [nn.forward(net, frames[i : i + 1], rasters[i : i + 1]) for i in range(7)]
+            [forward(net, frames[i : i + 1], rasters[i : i + 1]) for i in range(7)]
         )
         assert np.allclose(q, singles)
 
@@ -166,9 +171,9 @@ class TestPooledTrunk:
         targets = np.linspace(-1.0, 1.0, 2 * _CHUNK + 1)
 
         def loss(params):
-            q = nn.forward(nn.QNetwork(arch, params), frames, rasters, mode="train",
+            q = forward(nn.QNetwork(arch, params), frames, rasters, mode="train",
                            dropout_seed=5)
-            return nn.mse_loss(q, targets, actions)
+            return nn.mse_loss_grad(q, targets, actions)[0]
 
         q, cache = nn.forward_cached(net, frames, rasters, mode="train", dropout_seed=5)
         grads = nn.backward(net, cache, nn.mse_loss_grad(q, targets, actions)[1])
@@ -181,24 +186,29 @@ class TestPooledTrunk:
 
 
 class TestRecurrent:
+    """Recurrent nets read B traces of T steps, (B, T, ...)."""
+
     def test_single_step_matches_longer_sequence_prefix(self, tiny_recurrent_arch):
         net = nn.init_network(tiny_recurrent_arch, seed=0, dtype=np.float64)
         rng = np.random.default_rng(1)
-        frames = rng.uniform(-1, 1, (3, 2, 8, 8))
-        rasters = rng.uniform(-1, 1, (3, 2, 4))
-        q_full, _, _ = nn.forward_sequence(net, frames, rasters)
-        q_one, _, _ = nn.forward_sequence(net, frames[:1], rasters[:1])
-        assert np.allclose(q_full[0], q_one[0])
+        frames = rng.uniform(-1, 1, (2, 3, 8, 8))
+        rasters = rng.uniform(-1, 1, (2, 3, 4))
+        q_full = forward(net, frames, rasters)
+        q_one = forward(net, frames[:, :1], rasters[:, :1])
+        assert q_full.shape == (2, 3, 4)
+        assert np.allclose(q_full[:, 0], q_one[:, 0])
 
     def test_hidden_state_carries_across_calls(self, tiny_recurrent_arch):
         net = nn.init_network(tiny_recurrent_arch, seed=0, dtype=np.float64)
         rng = np.random.default_rng(2)
-        frames = rng.uniform(-1, 1, (4, 1, 8, 8))
-        rasters = rng.uniform(-1, 1, (4, 1, 4))
-        q_full, _, _ = nn.forward_sequence(net, frames, rasters)
-        _, hidden, _ = nn.forward_sequence(net, frames[:2], rasters[:2])
-        q_rest, _, _ = nn.forward_sequence(net, frames[2:], rasters[2:], hidden=hidden)
-        assert np.allclose(q_full[2:], q_rest)
+        frames = rng.uniform(-1, 1, (1, 4, 8, 8))
+        rasters = rng.uniform(-1, 1, (1, 4, 4))
+        q_full, cache = nn.forward_cached(net, frames, rasters)
+        _, _, lstm_cache = cache[1]
+        hidden = lstm_cache[2][1:3]  # the (h, c) that step 2 starts from
+        q_rest = forward(net, frames[:, 2:], rasters[:, 2:], hidden=hidden)
+        assert np.allclose(q_full[:, 2:], q_rest)
+        assert not np.allclose(q_full[:, 2:], forward(net, frames[:, 2:], rasters[:, 2:]))
 
     def test_silenced_memory_makes_steps_independent(self, tiny_recurrent_arch):
         # Zeroed recurrent weights alone still leak history through the cell
@@ -209,23 +219,24 @@ class TestRecurrent:
         net.params["lstm_b"][width : 2 * width] = -30.0
         rng = np.random.default_rng(3)
         shared = rng.uniform(-1, 1, (1, 1, 8, 8)), rng.uniform(-1, 1, (1, 1, 4))
-        hist_a = rng.uniform(-1, 1, (2, 1, 8, 8)), rng.uniform(-1, 1, (2, 1, 4))
-        hist_b = rng.uniform(-1, 1, (2, 1, 8, 8)), rng.uniform(-1, 1, (2, 1, 4))
-        qa, _, _ = nn.forward_sequence(net, np.concatenate([hist_a[0], shared[0]]),
-                                       np.concatenate([hist_a[1], shared[1]]))
-        qb, _, _ = nn.forward_sequence(net, np.concatenate([hist_b[0], shared[0]]),
-                                       np.concatenate([hist_b[1], shared[1]]))
-        assert np.allclose(qa[2], qb[2], atol=1e-9)
+        hist_a = rng.uniform(-1, 1, (1, 2, 8, 8)), rng.uniform(-1, 1, (1, 2, 4))
+        hist_b = rng.uniform(-1, 1, (1, 2, 8, 8)), rng.uniform(-1, 1, (1, 2, 4))
+        qa = forward(net, np.concatenate([hist_a[0], shared[0]], axis=1),
+                     np.concatenate([hist_a[1], shared[1]], axis=1))
+        qb = forward(net, np.concatenate([hist_b[0], shared[0]], axis=1),
+                     np.concatenate([hist_b[1], shared[1]], axis=1))
+        assert np.allclose(qa[:, 2], qb[:, 2], atol=1e-9)
 
     def test_repeated_input_settles_toward_a_fixed_point(self, tiny_recurrent_arch):
         net = nn.init_network(tiny_recurrent_arch, seed=5, dtype=np.float64)
         rng = np.random.default_rng(6)
-        frame = rng.uniform(-1, 1, (1, 8, 8))
-        raster = rng.uniform(-1, 1, (1, 4))
-        frames = np.repeat(frame[None], 8, axis=0)
-        rasters = np.repeat(raster[None], 8, axis=0)
-        _, _, cache = nn.forward_sequence(net, frames, rasters)
-        hs = np.stack([c[1] for c in cache[3][1:]] + [cache[3][-1][1]])
+        frame = rng.uniform(-1, 1, (1, 1, 8, 8))
+        raster = rng.uniform(-1, 1, (1, 1, 4))
+        frames = np.repeat(frame, 8, axis=1)
+        rasters = np.repeat(raster, 8, axis=1)
+        _, cache = nn.forward_cached(net, frames, rasters)
+        _, _, lstm_cache = cache[1]
+        hs = np.stack([c[1] for c in lstm_cache[1:]] + [lstm_cache[-1][1]])
         # consecutive hidden-state deltas shrink as the state settles
         deltas = [np.linalg.norm(hs[t + 1] - hs[t]) for t in range(len(hs) - 1)]
         assert all(d2 <= d1 + 1e-9 for d1, d2 in zip(deltas, deltas[1:]))
@@ -233,17 +244,7 @@ class TestRecurrent:
     def test_empty_sequence_rejected(self, tiny_recurrent_arch):
         net = nn.init_network(tiny_recurrent_arch, seed=0)
         with pytest.raises(ValueError):
-            nn.forward_sequence(net, np.zeros((0, 1, 8, 8)), np.zeros((0, 1, 4)))
-
-    def test_feedforward_and_recurrent_apis_do_not_cross(self, tiny_arch,
-                                                          tiny_recurrent_arch):
-        ff = nn.init_network(tiny_arch, seed=0)
-        rec = nn.init_network(tiny_recurrent_arch, seed=0)
-        frames, rasters = rand_inputs(tiny_arch, 2)
-        with pytest.raises(ValueError):
-            nn.forward_sequence(ff, frames[None], rasters[None])
-        with pytest.raises(ValueError):
-            nn.forward(rec, frames, rasters)
+            nn.forward_cached(net, np.zeros((1, 0, 8, 8)), np.zeros((1, 0, 4)))
 
 
 class TestClone:
@@ -264,7 +265,7 @@ class TestClone:
         clone = nn.clone_params(net)
         frames, rasters = rand_inputs(tiny_arch, 3)
         assert np.array_equal(
-            nn.forward(net, frames, rasters), nn.forward(clone, frames, rasters)
+            forward(net, frames, rasters), forward(clone, frames, rasters)
         )
 
 
@@ -312,28 +313,28 @@ class TestAdam:
 class TestLoss:
     def test_equal_pred_and_target_gives_zero(self):
         pred = np.array([[1.0, 2.0, 3.0, 4.0]])
-        assert nn.mse_loss(pred, pred, np.array([2])) == 0.0
+        assert nn.mse_loss_grad(pred, pred[:, 2], np.array([2]))[0] == 0.0
 
     def test_single_sample_arithmetic(self):
         pred = np.array([[1.0, 0.0, 0.0, 0.0]])
         target = np.array([0.0])
-        assert nn.mse_loss(pred, target, np.array([0])) == 1.0
+        assert nn.mse_loss_grad(pred, target, np.array([0]))[0] == 1.0
 
     def test_mean_over_batch(self):
         pred = np.array([[1.0, 0, 0, 0], [0.0, 0, 0, 0]])
         target = np.array([0.0, 0.0])
-        assert nn.mse_loss(pred, target, np.array([0, 0])) == 0.5
+        assert nn.mse_loss_grad(pred, target, np.array([0, 0]))[0] == 0.5
 
     def test_non_taken_actions_do_not_contribute(self):
         pred = np.array([[1.0, 99.0, -99.0, 42.0]])
         target = np.array([1.0])
-        assert nn.mse_loss(pred, target, np.array([0])) == 0.0
+        assert nn.mse_loss_grad(pred, target, np.array([0]))[0] == 0.0
         _, dpred = nn.mse_loss_grad(pred, target, np.array([0]))
         assert np.all(dpred[:, 1:] == 0)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            nn.mse_loss(np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=int))
+            nn.mse_loss_grad(np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=int))
 
 
 class TestCheckpoint:
@@ -372,5 +373,5 @@ class TestCheckpoint:
         restored, _, _ = nn.load_checkpoint(path)
         frames, rasters = rand_inputs(tiny_arch, 3)
         assert np.array_equal(
-            nn.forward(net, frames, rasters), nn.forward(restored, frames, rasters)
+            forward(net, frames, rasters), forward(restored, frames, rasters)
         )
