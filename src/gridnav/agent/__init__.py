@@ -1,11 +1,10 @@
-"""Reinforcement-learning core: replay, policies, update rules, phases."""
+"""Reinforcement-learning core: the agent, replay, policies, update rules, phases."""
 
 from .config import AgentConfig, UpdateRule
 from .learning import compute_targets, td_targets, train_step
 from .phases import (
+    Agent,
     EpisodeLog,
-    ExplorationResult,
-    ExploitationResult,
     NavigationEnv,
     TRAINING_LOG_COLUMNS,
     run_exploitation_phase,
@@ -16,10 +15,9 @@ from .policy import PolicyDecision, correct_action, epsilon_greedy
 from .replay import ReplayBuffer, Transition
 
 __all__ = [
+    "Agent",
     "AgentConfig",
     "EpisodeLog",
-    "ExplorationResult",
-    "ExploitationResult",
     "NavigationEnv",
     "PolicyDecision",
     "ReplayBuffer",

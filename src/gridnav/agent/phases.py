@@ -10,6 +10,12 @@ Phase two flies one continuous mission: obstacle sensing runs every step,
 unsafe predictions are corrected toward the target cell, fresh decision
 maps respawn each time a target cell is reached, and the network keeps
 learning online from the replay buffer as it flies.
+
+One :class:`Agent` holds the learner through both phases: its nets, Adam
+state and config, which a checkpoint keeps, plus what one phase gathers
+(replay buffer, update count, trunk-row caches).  A mission flies a
+fresh-phase copy, ``dataclasses.replace(agent)``: the same nets with an
+empty buffer, no updates yet and empty caches.
 """
 
 from __future__ import annotations
@@ -17,19 +23,19 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .. import nn
-from ..harness.reports import MissionReport
 from ..mapping import (
     Action,
     BoxedInError,
     CellState,
     ConstraintClass,
+    GlobalMap,
     GridCoord,
     LocalMap,
     action_destination,
@@ -82,35 +88,76 @@ class EpisodeLog:
 
 
 @dataclass
-class ExplorationResult:
-    value_net: nn.QNetwork
-    target_net: nn.QNetwork
-    adam: nn.AdamState
-    buffer: ReplayBuffer
-    episodes: list[EpisodeLog]
-    converged: bool
-    train_steps: int
+class MissionReport:
+    completed: bool
+    distance_m: float
+    time_s: int
+    obstacles: int
+    predictions: int
+    corrections: int
+    random: int
+    route: list[GridCoord] = field(default_factory=list)
+    method: str = ""
+    domain: str = ""
+    weather_kind: str = "clear"
+    weather_intensity: float = 0.0
+
+    @property
+    def weather_label(self) -> str:
+        if self.weather_intensity == 0.0:
+            return self.weather_kind
+        return f"{self.weather_kind}{int(round(self.weather_intensity * 100))}"
 
 
 @dataclass
-class _Learner:
-    """Mutable training state threaded through both phases.
+class Agent:
+    """The learner of both phases.
 
-    It also holds the image-trunk rows of both nets, keyed by frame digest:
-    the value net's, which answer action selection, until its next update,
-    and the target net's, which feed the TD targets, until its next sync.
+    Its fields are what a checkpoint keeps.  ``__post_init__`` sets what one
+    phase gathers: the replay buffer, the update count, and the image-trunk
+    rows of both nets keyed by frame digest: the value net's, which answer
+    action selection, until its next update, and the target net's, which
+    feed the TD targets, until its next sync.
     """
 
     value_net: nn.QNetwork
     target_net: nn.QNetwork
     adam: nn.AdamState
-    buffer: ReplayBuffer
     config: AgentConfig
-    train_steps: int = 0
 
     def __post_init__(self) -> None:
+        self.buffer = ReplayBuffer(self.config.replay_capacity)
+        self.train_steps = 0
         self._value_rows: dict[bytes, np.ndarray] = {}
         self._target_rows: dict[bytes, np.ndarray] = {}
+
+    @classmethod
+    def new(cls, config: AgentConfig, seed: int,
+            arch: nn.ArchitectureSpec | None = None) -> Agent:
+        """An untrained agent: seeded value net, its copy as target, fresh Adam.
+        ``arch`` defaults to the production net the config's rule needs."""
+        if arch is None:
+            arch = nn.ArchitectureSpec(recurrent=config.trace_length is not None)
+        value_net = nn.init_network(arch, seed=seed)
+        return cls(value_net, nn.clone_params(value_net),
+                   nn.init_adam(value_net.params, learning_rate=config.learning_rate), config)
+
+    def save(self, path) -> None:
+        nn.save_checkpoint(path, self.value_net, self.adam,
+                           extra={"rule": self.config.rule_name})
+
+    @classmethod
+    def load(cls, path, config: AgentConfig) -> Agent:
+        """The checkpoint at ``path`` under ``config``; raises ValueError when
+        its net is not the kind (feedforward or recurrent) the rule needs."""
+        net, adam, _ = nn.load_checkpoint(path)
+        if net.arch.recurrent != (config.trace_length is not None):
+            kinds = ("feedforward", "recurrent")
+            raise ValueError(f"holds a {kinds[net.arch.recurrent]} network, rule "
+                             f"{config.rule_name} needs a {kinds[not net.arch.recurrent]} one")
+        if adam is None:
+            adam = nn.init_adam(net.params, learning_rate=config.learning_rate)
+        return cls(net, nn.clone_params(net), adam, config)
 
     def q_values(self, state: _State) -> np.ndarray:
         """The value net's eval-mode Q-values at ``state``, as a one-step
@@ -180,7 +227,7 @@ def _spawn(agent: GridCoord, world: World, goal: GridCoord
     return _sensed_local_map(spawn_local_map(agent, goal, world.shape), world, goal)
 
 
-def _transition(learner: _Learner, state: _State, world: World, goal: GridCoord,
+def _transition(agent: Agent, state: _State, world: World, goal: GridCoord,
                 epsilon: float, correct: bool, render, episode_id: int,
                 rng: np.random.Generator):
     """One decision of either phase, pushed to the replay buffer.
@@ -188,13 +235,13 @@ def _transition(learner: _Learner, state: _State, world: World, goal: GridCoord,
     Selects epsilon-greedily (with ``correct``, unsafe predictions are
     replaced by :func:`correct_action`), classifies and rewards the action,
     then moves, senses and retargets, or voids a hard-constrained action in
-    place.  ``render(agent, facing)`` draws the next frame.  Returns
+    place.  ``render(cell, facing)`` draws the next frame.  Returns
     ``(next_state, decision, reward, sensed)``, or None when the agent is
     boxed in.
     """
     local = state.local
     try:
-        action, decision = epsilon_greedy(learner.q_values(state), valid_action_mask(local),
+        action, decision = epsilon_greedy(agent.q_values(state), valid_action_mask(local),
                                           epsilon, rng)
         if correct and decision == PolicyDecision.PREDICTED:
             action, decision = correct_action(local, action)
@@ -210,7 +257,7 @@ def _transition(learner: _Learner, state: _State, world: World, goal: GridCoord,
         nxt = _observed(next_local, action, render(next_local.agent_global, action))
     # terminal at the target cell: inside a decision map the goal is always
     # the target cell, so this also covers reaching the goal
-    learner.buffer.push(
+    agent.buffer.push(
         Transition(
             frame=state.frame,
             raster=state.raster,
@@ -237,14 +284,10 @@ def _free_cells(world: World) -> np.ndarray:
     return np.argwhere(free)
 
 
-def run_exploration_phase(
-    env: NavigationEnv,
-    config: AgentConfig,
-    seed: int,
-    arch: nn.ArchitectureSpec | None = None,
-    progress=None,
-) -> ExplorationResult:
-    """Teleport-mode training until the success streak or the episode cap.
+def run_exploration_phase(env: NavigationEnv, agent: Agent, seed: int,
+                          progress=None) -> tuple[list[EpisodeLog], bool]:
+    """Train ``agent`` in place in teleport mode until the success streak or
+    the episode cap; returns the episode logs and whether the streak was met.
 
     Every episode spawns the agent at a random obstacle-free cell, aims a
     fresh decision map at the environment goal, and runs epsilon-greedy
@@ -253,24 +296,15 @@ def run_exploration_phase(
     their penalty).  Mini-batch updates run after each episode.
     """
     rng = np.random.default_rng(seed)
-    if arch is None:
-        arch = nn.ArchitectureSpec(recurrent=config.trace_length is not None)
-    value_net = nn.init_network(arch, seed=seed)
+    config = agent.config
     world = env.world
-    learner = _Learner(
-        value_net=value_net,
-        target_net=nn.clone_params(value_net),
-        adam=nn.init_adam(value_net.params, learning_rate=config.learning_rate),
-        buffer=ReplayBuffer(config.replay_capacity),
-        config=config,
-    )
-
+    frame_size = agent.value_net.arch.frame_size
     free_cells = _free_cells(world)
     if not len(free_cells):
         raise ValueError("world has no free cell to spawn in")
 
-    def render(agent: GridCoord, facing: Action) -> np.ndarray:
-        return render_frame(world, agent, facing, size=arch.frame_size)
+    def render(cell: GridCoord, facing: Action) -> np.ndarray:
+        return render_frame(world, cell, facing, size=frame_size)
 
     logs: list[EpisodeLog] = []
     streak = 0
@@ -285,7 +319,7 @@ def run_exploration_phase(
         losses = []
         while not state.at_target and steps < config.max_steps_per_episode:
             steps += 1
-            step = _transition(learner, state, world, env.goal, config.epsilon_train,
+            step = _transition(agent, state, world, env.goal, config.epsilon_train,
                                correct=False, render=render, episode_id=episode, rng=rng)
             if step is None:
                 break
@@ -293,14 +327,14 @@ def run_exploration_phase(
             reward_sum += r
             # mid-episode updates keep a stalled greedy policy from wasting
             # the whole episode on a wall it has not yet been punished for
-            loss = learner.update_every(steps, config.exploration_train_interval, rng)
+            loss = agent.update_every(steps, config.exploration_train_interval, rng)
             if loss is not None:
                 losses.append(loss)
 
         success = state.at_target
         streak = streak + 1 if success else 0
         for _ in range(config.train_steps_per_episode):
-            loss = learner.update(rng)
+            loss = agent.update(rng)
             if loss is not None:
                 losses.append(loss)
         logs.append(
@@ -319,15 +353,7 @@ def run_exploration_phase(
             converged = True
             break
 
-    return ExplorationResult(
-        value_net=learner.value_net,
-        target_net=learner.target_net,
-        adam=learner.adam,
-        buffer=learner.buffer,
-        episodes=logs,
-        converged=converged,
-        train_steps=learner.train_steps,
-    )
+    return logs, converged
 
 
 def write_training_log(episodes: list[EpisodeLog], path) -> None:
@@ -347,29 +373,15 @@ def write_training_log(episodes: list[EpisodeLog], path) -> None:
             )
 
 
-@dataclass
-class ExploitationResult:
-    report: MissionReport
-    value_net: nn.QNetwork
-    target_net: nn.QNetwork
-    adam: nn.AdamState
-    buffer: ReplayBuffer
-    global_map: "object"
-    train_steps: int = 0
-
-
 def run_exploitation_phase(
     env: NavigationEnv,
-    value_net: nn.QNetwork,
-    target_net: nn.QNetwork,
-    adam: nn.AdamState,
-    config: AgentConfig,
+    agent: Agent,
     seed: int,
     weather: WeatherCondition = CLEAR,
-    buffer: ReplayBuffer | None = None,
     step_budget: int | None = None,
-) -> ExploitationResult:
-    """Fly one continuous mission with online learning.
+) -> tuple[MissionReport, GlobalMap]:
+    """Fly one continuous mission with ``agent``, learning online in place;
+    returns the mission report and the global map.
 
     The agent senses obstacles every step, corrects unsafe predictions
     toward the target cell, merges each completed decision map into the
@@ -378,20 +390,15 @@ def run_exploitation_phase(
     getting boxed in (reported as a failure with partial metrics).
     """
     rng = np.random.default_rng(seed)
+    config = agent.config
     budget = config.mission_step_budget if step_budget is None else step_budget
     world = env.world
-    learner = _Learner(
-        value_net=value_net,
-        target_net=target_net,
-        adam=adam,
-        buffer=ReplayBuffer(config.replay_capacity) if buffer is None else buffer,
-        config=config,
-    )
+    frame_size = agent.value_net.arch.frame_size
     global_map = new_global_map(world.shape[1], world.shape[0], env.start, env.goal)
 
-    def observe(world: World, agent: GridCoord, facing: Action, step: int) -> np.ndarray:
+    def observe(world: World, cell: GridCoord, facing: Action, step: int) -> np.ndarray:
         """The weathered frame of ``world`` seen at the start of decision ``step``."""
-        frame = render_frame(world, agent, facing, size=value_net.arch.frame_size)
+        frame = render_frame(world, cell, facing, size=frame_size)
         return apply_weather(frame, weather, rng_seed=seed + step)
 
     def advanced(world: World) -> World:
@@ -416,7 +423,7 @@ def run_exploitation_phase(
             state = state._replace(frame=frame, digest=frame_digest(frame))
         # the next frame shows the world the next decision is made in
         next_world = advanced(world)
-        step = _transition(learner, state, world, env.goal, config.epsilon_test,
+        step = _transition(agent, state, world, env.goal, config.epsilon_test,
                            correct=True, episode_id=episode_id, rng=rng,
                            render=partial(observe, next_world, step=steps + 1))
         if step is None:
@@ -436,7 +443,7 @@ def run_exploitation_phase(
                 state = state._replace(local=local, raster=render_decision_map(local))
 
         world = next_world
-        learner.update_every(steps, config.online_train_interval, rng)
+        agent.update_every(steps, config.online_train_interval, rng)
 
     report = MissionReport(
         completed=state.agent == env.goal,
@@ -452,12 +459,4 @@ def run_exploitation_phase(
         weather_kind=weather.kind.value,
         weather_intensity=weather.intensity,
     )
-    return ExploitationResult(
-        report=report,
-        value_net=learner.value_net,
-        target_net=learner.target_net,
-        adam=learner.adam,
-        buffer=learner.buffer,
-        global_map=global_map,
-        train_steps=learner.train_steps,
-    )
+    return report, global_map

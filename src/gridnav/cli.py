@@ -18,10 +18,9 @@ import os
 import sys
 from dataclasses import dataclass, fields, make_dataclass
 
-from .agent import AgentConfig, NavigationEnv, UpdateRule, run_exploration_phase, \
+from .agent import Agent, AgentConfig, NavigationEnv, UpdateRule, run_exploration_phase, \
     write_training_log
 from .harness import (
-    AgentCheckpoint,
     MissionSpec,
     decay_experiment,
     decay_results_to_csv,
@@ -160,7 +159,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if "seed" not in values and os.environ.get("NAV_SEED"):
         values["seed"] = int(os.environ["NAV_SEED"])
     config = RunConfig(**values)
-    config.agent_config()  # rejects bad agent values before any command runs
+    # reject bad agent, world and weather values before any command runs
+    config.agent_config()
+    config.world_spec()
+    config.weather_condition()
     return config
 
 
@@ -190,14 +192,9 @@ def _default_endpoints(config: RunConfig) -> tuple[GridCoord, GridCoord]:
 
 
 def cmd_generate_world(config: RunConfig) -> int:
-    out = _ensure_out(config)
     start, goal = _default_endpoints(config)
-    try:
-        world = generate_world(config.world_spec(), start=start, goal=goal)
-    except (GenerationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    path = os.path.join(out, "world.json")
+    world = generate_world(config.world_spec(), start=start, goal=goal)
+    path = os.path.join(_ensure_out(config), "world.json")
     save_world(world, path)
     print(f"wrote {path}: {len(world.obstacles)} obstacles (seed {world.spec.seed})")
     return EXIT_OK
@@ -234,19 +231,18 @@ def cmd_train(config: RunConfig) -> int:
             print(f"episode {log.episode}: steps {log.steps} "
                   f"reward {log.reward_sum:.2f} streak {log.streak}")
 
-    result = run_exploration_phase(env, agent_config, seed=config.seed,
-                                   progress=report_progress)
+    agent = Agent.new(agent_config, seed=config.seed)
+    episodes, converged = run_exploration_phase(env, agent, seed=config.seed,
+                                                progress=report_progress)
     ckpt_path = os.path.join(out, "checkpoint.npz")
-    AgentCheckpoint(result.value_net, result.target_net, result.adam, agent_config).save(
-        ckpt_path
-    )
-    write_training_log(result.episodes, os.path.join(out, "training_log.csv"))
-    status = "converged" if result.converged else "episode cap reached"
+    agent.save(ckpt_path)
+    write_training_log(episodes, os.path.join(out, "training_log.csv"))
+    status = "converged" if converged else "episode cap reached"
     print(
-        f"{status}: {len(result.episodes)} episodes, {result.train_steps} updates, "
+        f"{status}: {len(episodes)} episodes, {agent.train_steps} updates, "
         f"checkpoint {ckpt_path}"
     )
-    return EXIT_OK if result.converged else EXIT_EPISODE_CAP
+    return EXIT_OK if converged else EXIT_EPISODE_CAP
 
 
 def _parse_mission_list(config: RunConfig) -> list[MissionSpec]:
@@ -285,7 +281,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         print(f"error: checkpoint {config.checkpoint!r} not found", file=sys.stderr)
         return EXIT_USAGE
     try:
-        checkpoint = AgentCheckpoint.load(config.checkpoint, config.agent_config())
+        agent = Agent.load(config.checkpoint, config.agent_config())
     except ValueError as exc:
         print(f"error: checkpoint {config.checkpoint!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -299,17 +295,15 @@ def cmd_evaluate(config: RunConfig) -> int:
     reports = []
     if missions:
         for spec in missions:
-            report, checkpoint, env = run_mission(spec, checkpoint,
-                                                  step_budget=config.step_budget)
-            report.domain = f"{report.domain}:{spec.name}"
+            report, agent, env = run_mission(spec, agent, step_budget=config.step_budget)
             reports.append(report)
             svg_path = os.path.join(out, f"route_{spec.name}.svg")
             with open(svg_path, "w", encoding="utf-8") as fh:
                 fh.write(route_trace_svg(report, env.world, start=spec.start,
                                          goal=spec.goal))
     else:
-        reports, checkpoint = run_test_sequence(
-            checkpoint,
+        reports, _ = run_test_sequence(
+            agent,
             config.seed,
             scale=config.sequence_scale,
             obstacle_density=config.obstacle_density,

@@ -2,7 +2,6 @@
 
 from .decay import decay_experiment, decay_fixed_point
 from .missions import (
-    AgentCheckpoint,
     MissionSpec,
     TEST_SEQUENCE,
     build_test_sequence,
@@ -22,7 +21,6 @@ from .reports import (
 )
 
 __all__ = [
-    "AgentCheckpoint",
     "DECAY_CSV_COLUMNS",
     "DecayExperimentResult",
     "MISSION_CSV_COLUMNS",

@@ -1,26 +1,22 @@
 """Mission runner and the ten-test evaluation sequence.
 
-A mission pairs a procedurally generated world with start/goal endpoints,
-a weather condition, and an agent checkpoint.  The runner drives the
-continuous-flight phase and returns its report; the parameters keep
-learning online, and the updated checkpoint threads forward through a
-test sequence (the models are intentionally allowed to adapt from one
-test to the next).
+A mission pairs a procedurally generated world with start/goal endpoints
+and a weather condition.  The runner flies a fresh-phase copy of the agent
+(the same nets with an empty buffer, no updates yet and empty caches)
+through the continuous-flight phase and returns its report with the
+updated agent; the parameters keep learning online, and the updated agent
+threads forward through a test sequence (the models are intentionally
+allowed to adapt from one test to the next).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .. import nn
-from ..agent.config import AgentConfig
-
-# Module (not name) import: agent.phases itself depends on this package's
-# report types, so its names resolve lazily at call time.
-from ..agent import phases as agent_phases
+from ..agent import phases
 from ..mapping import GridCoord
 from ..world import (
     CLEAR,
@@ -30,37 +26,6 @@ from ..world import (
     WorldSpec,
     generate_world,
 )
-from .reports import MissionReport
-
-
-@dataclass
-class AgentCheckpoint:
-    """Trained networks plus optimiser state and the config they ran under."""
-
-    value_net: nn.QNetwork
-    target_net: nn.QNetwork
-    adam: nn.AdamState
-    config: AgentConfig
-
-    def save(self, path) -> None:
-        nn.save_checkpoint(path, self.value_net, self.adam,
-                           extra={"rule": self.config.rule_name})
-
-    @staticmethod
-    def load(path, config: AgentConfig) -> "AgentCheckpoint":
-        net, adam, _ = nn.load_checkpoint(path)
-        if net.arch.recurrent != (config.trace_length is not None):
-            kinds = ("feedforward", "recurrent")
-            raise ValueError(f"holds a {kinds[net.arch.recurrent]} network, rule "
-                             f"{config.rule_name} needs a {kinds[not net.arch.recurrent]} one")
-        if adam is None:
-            adam = nn.init_adam(net.params, learning_rate=config.learning_rate)
-        return AgentCheckpoint(
-            value_net=net,
-            target_net=nn.clone_params(net),
-            adam=adam,
-            config=config,
-        )
 
 
 @dataclass(frozen=True)
@@ -85,30 +50,21 @@ class MissionSpec:
 
 def run_mission(
     spec: MissionSpec,
-    checkpoint: AgentCheckpoint,
+    agent: phases.Agent,
     step_budget: int | None = None,
-) -> tuple[MissionReport, AgentCheckpoint, "agent_phases.NavigationEnv"]:
-    """Fly one mission; returns the report, the updated checkpoint, and the
-    environment it ran in (useful for route traces)."""
+) -> tuple[phases.MissionReport, phases.Agent, phases.NavigationEnv]:
+    """Fly one mission with a fresh-phase copy of ``agent``, which is left as
+    it was; returns the report, the updated agent, and the environment it
+    ran in (useful for route traces).  A named mission's report carries
+    ``:<name>`` after its domain."""
     world = generate_world(spec.world, start=spec.start, goal=spec.goal)
-    env = agent_phases.NavigationEnv(world=world, start=spec.start, goal=spec.goal)
-    result = agent_phases.run_exploitation_phase(
-        env,
-        checkpoint.value_net,
-        checkpoint.target_net,
-        checkpoint.adam,
-        checkpoint.config,
-        seed=spec.seed,
-        weather=spec.weather,
-        step_budget=step_budget,
-    )
-    updated = AgentCheckpoint(
-        value_net=result.value_net,
-        target_net=result.target_net,
-        adam=result.adam,
-        config=checkpoint.config,
-    )
-    return result.report, updated, env
+    env = phases.NavigationEnv(world=world, start=spec.start, goal=spec.goal)
+    flown = replace(agent)
+    report, _ = phases.run_exploitation_phase(env, flown, seed=spec.seed,
+                                              weather=spec.weather, step_budget=step_budget)
+    if spec.name:
+        report.domain = f"{report.domain}:{spec.name}"
+    return report, flown, env
 
 
 def _endpoints_for_distance(side: int, distance: float) -> tuple[GridCoord, GridCoord]:
@@ -179,12 +135,12 @@ def build_test_sequence(master_seed: int, scale: float = 1.0,
 
 
 def run_test_sequence(
-    checkpoint: AgentCheckpoint,
+    agent: phases.Agent,
     master_seed: int,
     scale: float = 1.0,
     obstacle_density: float | None = None,
     step_budget: int | None = None,
-) -> tuple[list[MissionReport], AgentCheckpoint]:
+) -> tuple[list[phases.MissionReport], phases.Agent]:
     """Run the ten tests in order, carrying the learned parameters forward.
 
     Individual failures (step budget, boxed-in) are recorded in their
@@ -193,8 +149,6 @@ def run_test_sequence(
     reports = []
     for spec in build_test_sequence(master_seed, scale=scale,
                                     obstacle_density=obstacle_density):
-        report, checkpoint, _ = run_mission(spec, checkpoint, step_budget=step_budget)
-        if spec.name:
-            report.domain = f"{report.domain}:{spec.name}"
+        report, agent, _ = run_mission(spec, agent, step_budget=step_budget)
         reports.append(report)
-    return reports, checkpoint
+    return reports, agent

@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..agent.phases import MissionReport
 from ..mapping import GridCoord
 from ..world import World
 
@@ -33,32 +34,6 @@ MISSION_CSV_COLUMNS = (
 DECAY_CSV_COLUMNS = ("rule", "update", "min", "q1", "median", "q3", "max")
 
 REPORT_SCHEMA_VERSION = 1
-
-
-@dataclass
-class MissionReport:
-    completed: bool
-    distance_m: float
-    time_s: int
-    obstacles: int
-    predictions: int
-    corrections: int
-    random: int
-    route: list[GridCoord] = field(default_factory=list)
-    method: str = ""
-    domain: str = ""
-    weather_kind: str = "clear"
-    weather_intensity: float = 0.0
-
-    @property
-    def decisions(self) -> int:
-        return self.predictions + self.corrections + self.random
-
-    @property
-    def weather_label(self) -> str:
-        if self.weather_intensity == 0.0:
-            return self.weather_kind
-        return f"{self.weather_kind}{int(round(self.weather_intensity * 100))}"
 
 
 @dataclass

@@ -210,47 +210,31 @@ def generate_world(
     area = spec.width_m * spec.height_m
     count = int(round(spec.density * area / 100.0))
     protected = [c for c in (start, goal) if c is not None]
+    attempts_left = max(1000, 200 * count)
+
+    def clear_position() -> tuple[float, float]:
+        """A uniform draw whose disc keeps the start and goal cells clear;
+        all obstacles share one attempt budget."""
+        nonlocal attempts_left
+        while attempts_left > 0:
+            attempts_left -= 1
+            x = rng.uniform(0.0, spec.width_m)
+            y = rng.uniform(0.0, spec.height_m)
+            if not any(_disc_intersects_cell(x, y, obstacle_radius, c) for c in protected):
+                return x, y
+        raise GenerationError(f"could not place {count + spec.dynamic_count} obstacles "
+                              "and keep start/goal clear")
 
     obstacles: list[Obstacle] = []
-    attempts_left = max(1000, 200 * count)
     for _ in range(count):
-        while True:
-            if attempts_left <= 0:
-                raise GenerationError(
-                    f"could not place {count} obstacles and keep start/goal clear"
-                )
-            attempts_left -= 1
-            x = rng.uniform(0.0, spec.width_m)
-            y = rng.uniform(0.0, spec.height_m)
-            if any(_disc_intersects_cell(x, y, obstacle_radius, c) for c in protected):
-                continue
-            shade = rng.uniform(0.0, 1.0)
-            obstacles.append(Obstacle(x=x, y=y, radius=obstacle_radius, shade=shade))
-            break
-
+        x, y = clear_position()
+        obstacles.append(Obstacle(x=x, y=y, radius=obstacle_radius, shade=rng.uniform(0.0, 1.0)))
     for _ in range(spec.dynamic_count):
-        while True:
-            if attempts_left <= 0:
-                raise GenerationError("could not place dynamic obstacles")
-            attempts_left -= 1
-            x = rng.uniform(0.0, spec.width_m)
-            y = rng.uniform(0.0, spec.height_m)
-            if any(_disc_intersects_cell(x, y, obstacle_radius, c) for c in protected):
-                continue
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-            speed = rng.uniform(0.5, 1.5)
-            shade = rng.uniform(0.0, 1.0)
-            obstacles.append(
-                Obstacle(
-                    x=x,
-                    y=y,
-                    radius=obstacle_radius,
-                    vx=speed * math.cos(angle),
-                    vy=speed * math.sin(angle),
-                    shade=shade,
-                )
-            )
-            break
+        x, y = clear_position()
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        speed = rng.uniform(0.5, 1.5)
+        obstacles.append(Obstacle(x=x, y=y, radius=obstacle_radius, shade=rng.uniform(0.0, 1.0),
+                                  vx=speed * math.cos(angle), vy=speed * math.sin(angle)))
 
     return World(spec=spec, obstacles=tuple(obstacles))
 

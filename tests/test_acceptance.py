@@ -14,6 +14,7 @@ import pytest
 
 from gridnav import nn
 from gridnav.agent import (
+    Agent,
     AgentConfig,
     NavigationEnv,
     PolicyDecision,
@@ -25,7 +26,6 @@ from gridnav.agent import (
 )
 from gridnav.cli import main as cli_main
 from gridnav.harness import (
-    AgentCheckpoint,
     MissionSpec,
     decay_experiment,
     mission_reports_to_json,
@@ -394,13 +394,9 @@ def test_criterion_8_safety_invariant(small_checkpoint_arch):
         start, goal = GridCoord(1, 1), GridCoord(14, 14)
         world = generate_world(world_spec, start=start, goal=goal)
         env = NavigationEnv(world=world, start=start, goal=goal)
-        net = nn.init_network(small_checkpoint_arch, seed=i)
-        result = run_exploitation_phase(
-            env, net, nn.clone_params(net),
-            nn.init_adam(net.params, config.learning_rate), config,
-            seed=900 + i, weather=weather, step_budget=260,
-        )
-        r = result.report
+        agent = Agent.new(config, seed=i, arch=small_checkpoint_arch)
+        r, _ = run_exploitation_phase(env, agent, seed=900 + i, weather=weather,
+                                      step_budget=260)
         assert r.predictions + r.corrections + r.random == r.time_s
         assert r.time_s == len(r.route) - 1
         replay_route_and_verify(r, world, start, goal)

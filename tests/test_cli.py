@@ -64,7 +64,7 @@ class TestGenerateWorld:
     def test_negative_density_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg", obstacle_density=-1.0)
         code = run_cli("generate-world", "--config", cfg, "--out", str(tmp_path / "o"))
-        assert code == EXIT_FAILURE
+        assert code == EXIT_USAGE
 
 
 class TestConfigHandling:
@@ -113,6 +113,21 @@ class TestConfigHandling:
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err
         assert not out.exists()  # rejected before the run starts
+
+    @pytest.mark.parametrize("values, message", [
+        (dict(dynamic_count=3), "dynamic obstacles only exist in the savanna domain"),
+        (dict(world_width=0), "world dimensions must be positive"),
+        (dict(weather="clear", intensity=0.15), "clear weather has zero intensity"),
+    ], ids=["forest-movers", "zero-width", "clear-with-intensity"])
+    @pytest.mark.parametrize("command", ["generate-world", "train", "evaluate"])
+    def test_bad_world_or_weather_is_a_usage_error(self, tmp_path, capsys, command, values,
+                                                    message):
+        cfg = write_config(tmp_path / "cfg", **values)
+        out = tmp_path / "o"
+        code = run_cli(command, "--config", cfg, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_trace_longer_than_the_buffer_is_a_usage_error(self, tmp_path, capsys, command):

@@ -7,10 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from gridnav import nn
-from gridnav.agent import AgentConfig, UpdateRule
+from gridnav.agent import Agent, AgentConfig, UpdateRule
 from gridnav.harness import (
-    AgentCheckpoint,
     DECAY_CSV_COLUMNS,
     MISSION_CSV_COLUMNS,
     MissionReport,
@@ -173,14 +171,13 @@ class TestRouteTrace:
         assert svg.count('fill="red"') == 2
 
 
-def tiny_checkpoint(arch, config, seed=0):
-    net = nn.init_network(arch, seed=seed)
-    return AgentCheckpoint(
-        value_net=net,
-        target_net=nn.clone_params(net),
-        adam=nn.init_adam(net.params, config.learning_rate),
-        config=config,
-    )
+PLAIN_MISSION = MissionSpec(
+    world=WorldSpec(domain=Domain.PLAIN, width_m=15, height_m=15, obstacle_density=1.0,
+                    seed=4),
+    start=GridCoord(2, 2),
+    goal=GridCoord(10, 10),
+    seed=9,
+)
 
 
 class TestMissions:
@@ -194,17 +191,11 @@ class TestMissions:
                     target_distance=10.0)
 
     def test_run_mission_is_deterministic(self, phase_arch):
-        spec = MissionSpec(
-            world=WorldSpec(domain=Domain.PLAIN, width_m=15, height_m=15,
-                            obstacle_density=1.0, seed=4),
-            start=GridCoord(2, 2),
-            goal=GridCoord(10, 10),
-            seed=9,
-        )
+        spec = PLAIN_MISSION
         config = AgentConfig(online_train_interval=50)
         outputs = []
         for _ in range(2):
-            report, _, _ = run_mission(spec, tiny_checkpoint(phase_arch, config),
+            report, _, _ = run_mission(spec, Agent.new(config, seed=0, arch=phase_arch),
                                        step_budget=120)
             outputs.append(mission_reports_to_json([report]))
         assert outputs[0] == outputs[1]
@@ -228,9 +219,9 @@ class TestMissions:
 
     def test_full_sequence_emits_ten_reports_in_order(self, phase_arch):
         config = AgentConfig(online_train_interval=8, batch_size=8)
-        checkpoint = tiny_checkpoint(phase_arch, config)
-        before = {k: v.copy() for k, v in checkpoint.value_net.params.items()}
-        reports, updated = run_test_sequence(checkpoint, master_seed=3, scale=0.05,
+        agent = Agent.new(config, seed=0, arch=phase_arch)
+        before = {k: v.copy() for k, v in agent.value_net.params.items()}
+        reports, updated = run_test_sequence(agent, master_seed=3, scale=0.05,
                                              obstacle_density=1.0, step_budget=120)
         assert len(reports) == 10
         assert [r.domain.split(":")[1] for r in reports] == [t[0] for t in TEST_SEQUENCE]
@@ -241,12 +232,36 @@ class TestMissions:
             not np.array_equal(updated.value_net.params[k], before[k]) for k in before
         )
 
+    def test_run_mission_leaves_the_callers_agent_as_it_was(self, phase_arch):
+        config = AgentConfig(online_train_interval=1, batch_size=4, target_sync_every=3)
+        agent = Agent.new(config, seed=0, arch=phase_arch)
+        value_net, target_net, adam = agent.value_net, agent.target_net, agent.adam
+        before = {k: v.copy() for k, v in value_net.params.items()}
+        report, flown, _ = run_mission(PLAIN_MISSION, agent, step_budget=20)
+        assert flown.value_net is not value_net
+        assert agent.value_net is value_net and agent.target_net is target_net
+        assert agent.adam is adam
+        for key, value in before.items():
+            assert np.array_equal(agent.value_net.params[key], value)
+        assert agent.train_steps == 0 and len(agent.buffer) == 0
+        # every mission starts from an empty buffer and no updates, so it
+        # updates from its 4th step on and syncs its target on its own cadence
+        for flying in (agent, flown):
+            report, flown, _ = run_mission(PLAIN_MISSION, flying, step_budget=6)
+            assert len(flown.buffer) == report.time_s == 6
+            assert flown.train_steps == 3
+
     def test_checkpoint_save_load_round_trip(self, tmp_path, phase_arch):
-        config = AgentConfig()
-        checkpoint = tiny_checkpoint(phase_arch, config)
+        config = AgentConfig(online_train_interval=1, batch_size=4)
+        _, agent, _ = run_mission(PLAIN_MISSION, Agent.new(config, seed=0, arch=phase_arch),
+                                  step_budget=8)
+        assert agent.adam.step > 0  # trained moments, not fresh zeros
         path = tmp_path / "agent.npz"
-        checkpoint.save(path)
-        restored = AgentCheckpoint.load(path, config)
-        for key in checkpoint.value_net.params:
+        agent.save(path)
+        restored = Agent.load(path, config)
+        for key in agent.value_net.params:
             assert np.array_equal(restored.value_net.params[key],
-                                  checkpoint.value_net.params[key])
+                                  agent.value_net.params[key])
+            assert np.array_equal(restored.adam.m[key], agent.adam.m[key])
+            assert np.array_equal(restored.adam.v[key], agent.adam.v[key])
+        assert restored.adam.step == agent.adam.step

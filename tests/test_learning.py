@@ -6,7 +6,7 @@ import pytest
 from gridnav import nn
 from gridnav.agent import AgentConfig, UpdateRule, compute_targets, td_targets, train_step
 from gridnav.agent.learning import frame_digest, trunk_rows
-from gridnav.agent.phases import _Learner, _State
+from gridnav.agent.phases import Agent, _State
 from gridnav.mapping import Action
 from gridnav.agent.replay import ReplayBuffer, Transition
 
@@ -225,20 +225,19 @@ class TestSyncTarget:
         net = nn.init_network(tiny_arch, seed=5)
         rng = np.random.default_rng(5)
         first_target = nn.init_network(tiny_arch, seed=6)
-        learner = _Learner(value_net=net, target_net=first_target,
-                           adam=nn.init_adam(net.params),
-                           buffer=fill_buffer(net, tiny_arch, 4, rng, terminal_reward=1.0),
-                           config=AgentConfig(batch_size=2, target_sync_every=3))
+        agent = Agent(value_net=net, target_net=first_target, adam=nn.init_adam(net.params),
+                        config=AgentConfig(batch_size=2, target_sync_every=3))
+        agent.buffer = fill_buffer(net, tiny_arch, 4, rng, terminal_reward=1.0)
         for _ in range(2):
-            assert learner.update(rng) is not None
-            assert learner.target_net is first_target
-        assert learner.update(rng) is not None
-        synced = learner.target_net
-        assert synced is not learner.value_net
+            assert agent.update(rng) is not None
+            assert agent.target_net is first_target
+        assert agent.update(rng) is not None
+        synced = agent.target_net
+        assert synced is not agent.value_net
         for key in net.params:
-            assert np.array_equal(synced.params[key], learner.value_net.params[key])
-        learner.value_net.params["head_b"] += 1.0  # the synced copy is isolated
-        assert not np.array_equal(synced.params["head_b"], learner.value_net.params["head_b"])
+            assert np.array_equal(synced.params[key], agent.value_net.params[key])
+        agent.value_net.params["head_b"] += 1.0  # the synced copy is isolated
+        assert not np.array_equal(synced.params["head_b"], agent.value_net.params["head_b"])
 
 
 def random_transitions(arch, count, rng):
@@ -293,25 +292,24 @@ class TestTrunkRows:
     def test_action_values_follow_every_update(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=10)
         rng = np.random.default_rng(10)
-        learner = _Learner(value_net=net, target_net=nn.clone_params(net),
-                           adam=nn.init_adam(net.params),
-                           buffer=fill_buffer(net, tiny_arch, 4, rng, terminal_reward=1.0),
-                           config=AgentConfig(batch_size=2))
-        t = learner.buffer._items[0]
+        agent = Agent(value_net=net, target_net=nn.clone_params(net),
+                        adam=nn.init_adam(net.params), config=AgentConfig(batch_size=2))
+        agent.buffer = fill_buffer(net, tiny_arch, 4, rng, terminal_reward=1.0)
+        t = agent.buffer._items[0]
         state = _State(local=None, facing=Action.NORTH, frame=t.frame,
                        digest=frame_digest(t.frame), raster=t.raster)
         for _ in range(3):
-            want, _ = nn.forward_cached(learner.value_net, t.frame[None], t.raster[None])
-            assert np.array_equal(learner.q_values(state), want[0])
-            assert learner.update(rng) is not None
+            want, _ = nn.forward_cached(agent.value_net, t.frame[None], t.raster[None])
+            assert np.array_equal(agent.q_values(state), want[0])
+            assert agent.update(rng) is not None
 
     def test_recurrent_action_values_run_the_lstm_from_the_zero_state(self,
                                                                       tiny_recurrent_arch):
         net = nn.init_network(tiny_recurrent_arch, seed=11)
         t = random_transitions(tiny_recurrent_arch, 1, np.random.default_rng(11))[0]
-        learner = _Learner(value_net=net, target_net=net, adam=nn.init_adam(net.params),
-                           buffer=ReplayBuffer(), config=AgentConfig(trace_length=5))
+        agent = Agent(value_net=net, target_net=net, adam=nn.init_adam(net.params),
+                        config=AgentConfig(trace_length=5))
         state = _State(local=None, facing=Action.NORTH, frame=t.frame,
                        digest=frame_digest(t.frame), raster=t.raster)
         want, _ = nn.forward_cached(net, t.frame[None, None], t.raster[None, None])
-        assert np.array_equal(learner.q_values(state), want[0, 0])
+        assert np.array_equal(agent.q_values(state), want[0, 0])

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gridnav import nn
 from gridnav.agent import phases
 from gridnav.agent import (
+    Agent,
     AgentConfig,
     NavigationEnv,
-    ReplayBuffer,
     TRAINING_LOG_COLUMNS,
     run_exploitation_phase,
     run_exploration_phase,
@@ -37,6 +36,11 @@ def corridor_world(length=2):
     return World(spec=spec, obstacles=())
 
 
+def train(env, config, seed, arch):
+    """Episode logs and convergence of a fresh agent trained on ``env``."""
+    return run_exploration_phase(env, Agent.new(config, seed=seed, arch=arch), seed=seed)
+
+
 class TestExplorationPhase:
     def test_streak_stop_on_a_trivial_task(self, phase_arch):
         # every episode ends at the goal within a step, so the streak
@@ -45,28 +49,28 @@ class TestExplorationPhase:
         env = NavigationEnv(world=world, start=GridCoord(0, 0), goal=GridCoord(0, 1))
         config = AgentConfig(max_episodes=200, success_streak=50, epsilon_train=1.0,
                              max_steps_per_episode=5)
-        result = run_exploration_phase(env, config, seed=0, arch=phase_arch)
-        assert result.converged
-        assert len(result.episodes) == 50
-        assert result.episodes[-1].streak == 50
+        episodes, converged = train(env, config, seed=0, arch=phase_arch)
+        assert converged
+        assert len(episodes) == 50
+        assert episodes[-1].streak == 50
 
     def test_episode_cap_is_exact(self, phase_arch, small_world):
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
                             goal=GridCoord(8, 8))
         config = AgentConfig(max_episodes=7, success_streak=50,
                              max_steps_per_episode=10)
-        result = run_exploration_phase(env, config, seed=1, arch=phase_arch)
-        assert not result.converged
-        assert len(result.episodes) == 7
+        episodes, converged = train(env, config, seed=1, arch=phase_arch)
+        assert not converged
+        assert len(episodes) == 7
 
     def test_logs_carry_streaks_and_rewards(self, phase_arch, small_world):
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
                             goal=GridCoord(8, 8))
         config = AgentConfig(max_episodes=6, success_streak=50,
                              max_steps_per_episode=20)
-        result = run_exploration_phase(env, config, seed=2, arch=phase_arch)
+        episodes, _ = train(env, config, seed=2, arch=phase_arch)
         streak = 0
-        for i, log in enumerate(result.episodes, start=1):
+        for i, log in enumerate(episodes, start=1):
             assert log.episode == i
             streak = streak + 1 if log.success else 0
             assert log.streak == streak
@@ -78,9 +82,9 @@ class TestExplorationPhase:
                             goal=GridCoord(8, 8))
         config = AgentConfig(max_episodes=3, success_streak=50,
                              max_steps_per_episode=10)
-        result = run_exploration_phase(env, config, seed=3, arch=phase_arch)
+        episodes, _ = train(env, config, seed=3, arch=phase_arch)
         path = tmp_path / "log.csv"
-        write_training_log(result.episodes, path)
+        write_training_log(episodes, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(TRAINING_LOG_COLUMNS)
         assert len(lines) == 4
@@ -90,9 +94,10 @@ class TestExplorationPhase:
                             goal=GridCoord(8, 8))
         config = AgentConfig(max_episodes=4, success_streak=50,
                              max_steps_per_episode=15)
-        result = run_exploration_phase(env, config, seed=4, arch=phase_arch)
-        assert len(result.buffer) > 0
-        episodes_seen = {t.episode_id for t in result.buffer._items}
+        agent = Agent.new(config, seed=4, arch=phase_arch)
+        run_exploration_phase(env, agent, seed=4)
+        assert len(agent.buffer) > 0
+        episodes_seen = {t.episode_id for t in agent.buffer._items}
         assert len(episodes_seen) >= 2
 
     def test_deterministic_under_a_fixed_seed(self, phase_arch, small_world):
@@ -100,10 +105,11 @@ class TestExplorationPhase:
                             goal=GridCoord(8, 8))
         config = AgentConfig(max_episodes=5, success_streak=50,
                              max_steps_per_episode=15)
-        a = run_exploration_phase(env, config, seed=5, arch=phase_arch)
-        b = run_exploration_phase(env, config, seed=5, arch=phase_arch)
-        assert [(e.steps, e.reward_sum, e.success) for e in a.episodes] == [
-            (e.steps, e.reward_sum, e.success) for e in b.episodes
+        a, b = (Agent.new(config, seed=5, arch=phase_arch) for _ in range(2))
+        a_episodes, _ = run_exploration_phase(env, a, seed=5)
+        b_episodes, _ = run_exploration_phase(env, b, seed=5)
+        assert [(e.steps, e.reward_sum, e.success) for e in a_episodes] == [
+            (e.steps, e.reward_sum, e.success) for e in b_episodes
         ]
         for key in a.value_net.params:
             assert np.array_equal(a.value_net.params[key], b.value_net.params[key])
@@ -123,33 +129,26 @@ class TestExplorationPhase:
                 f"trial {trial}"
 
 
-def fresh_agent(arch, config, seed=0):
-    net = nn.init_network(arch, seed=seed)
-    return net, nn.clone_params(net), nn.init_adam(net.params, config.learning_rate)
-
-
 class TestExploitationPhase:
     def test_adjacent_goal_takes_one_step(self, phase_arch):
         world = corridor_world(2)
         env = NavigationEnv(world=world, start=GridCoord(0, 0), goal=GridCoord(0, 1))
         config = AgentConfig()
-        value, target, adam = fresh_agent(phase_arch, config)
-        result = run_exploitation_phase(env, value, target, adam, config, seed=0)
-        assert result.report.completed
-        assert result.report.time_s == 1
-        assert result.report.route == [GridCoord(0, 0), GridCoord(0, 1)]
+        agent = Agent.new(config, seed=0, arch=phase_arch)
+        report, _ = run_exploitation_phase(env, agent, seed=0)
+        assert report.completed
+        assert report.time_s == 1
+        assert report.route == [GridCoord(0, 0), GridCoord(0, 1)]
 
     def test_accounting_identity_and_route_consistency(self, phase_arch, small_world):
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
                             goal=GridCoord(8, 8))
         config = AgentConfig(online_train_interval=10)
-        value, target, adam = fresh_agent(phase_arch, config)
-        result = run_exploitation_phase(env, value, target, adam, config, seed=1,
-                                        step_budget=120)
-        r = result.report
-        assert r.predictions + r.corrections + r.random == r.time_s
-        assert r.time_s == len(r.route) - 1
-        for a, b in zip(r.route, r.route[1:]):
+        agent = Agent.new(config, seed=0, arch=phase_arch)
+        report, _ = run_exploitation_phase(env, agent, seed=1, step_budget=120)
+        assert report.predictions + report.corrections + report.random == report.time_s
+        assert report.time_s == len(report.route) - 1
+        for a, b in zip(report.route, report.route[1:]):
             assert abs(a.row - b.row) + abs(a.col - b.col) == 1
 
     def test_budget_exhaustion_reports_failure_with_partial_metrics(self, phase_arch,
@@ -157,12 +156,11 @@ class TestExploitationPhase:
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
                             goal=GridCoord(8, 8))
         config = AgentConfig(online_train_interval=50)
-        value, target, adam = fresh_agent(phase_arch, config)
-        result = run_exploitation_phase(env, value, target, adam, config, seed=2,
-                                        step_budget=5)
-        assert not result.report.completed
-        assert result.report.time_s == 5
-        assert len(result.report.route) == 6
+        agent = Agent.new(config, seed=0, arch=phase_arch)
+        report, _ = run_exploitation_phase(env, agent, seed=2, step_budget=5)
+        assert not report.completed
+        assert report.time_s == 5
+        assert len(report.route) == 6
 
     def test_boxed_in_start_fails_gracefully(self, phase_arch):
         # four obstacles pin the agent in place immediately
@@ -175,38 +173,35 @@ class TestExploitationPhase:
         world = World(spec=spec, obstacles=obstacles)
         env = NavigationEnv(world=world, start=GridCoord(2, 2), goal=GridCoord(4, 4))
         config = AgentConfig()
-        value, target, adam = fresh_agent(phase_arch, config)
-        result = run_exploitation_phase(env, value, target, adam, config, seed=3,
-                                        step_budget=50)
-        assert not result.report.completed
-        assert result.report.time_s == 0
+        agent = Agent.new(config, seed=0, arch=phase_arch)
+        report, _ = run_exploitation_phase(env, agent, seed=3, step_budget=50)
+        assert not report.completed
+        assert report.time_s == 0
 
     def test_online_learning_updates_parameters(self, phase_arch, small_world):
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
                             goal=GridCoord(8, 8))
         config = AgentConfig(batch_size=8, online_train_interval=1)
-        value, target, adam = fresh_agent(phase_arch, config)
-        before = {k: v.copy() for k, v in value.params.items()}
-        result = run_exploitation_phase(env, value, target, adam, config, seed=4,
-                                        step_budget=60)
-        assert result.train_steps > 0
+        agent = Agent.new(config, seed=0, arch=phase_arch)
+        before = {k: v.copy() for k, v in agent.value_net.params.items()}
+        run_exploitation_phase(env, agent, seed=4, step_budget=60)
+        assert agent.train_steps > 0
         assert any(
-            not np.array_equal(result.value_net.params[k], before[k]) for k in before
+            not np.array_equal(agent.value_net.params[k], before[k]) for k in before
         )
 
     def test_weathered_mission_still_reports_cleanly(self, phase_arch, small_world):
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
                             goal=GridCoord(8, 8))
         config = AgentConfig(online_train_interval=25)
-        value, target, adam = fresh_agent(phase_arch, config)
-        result = run_exploitation_phase(
-            env, value, target, adam, config, seed=5,
+        agent = Agent.new(config, seed=0, arch=phase_arch)
+        report, _ = run_exploitation_phase(
+            env, agent, seed=5,
             weather=WeatherCondition(WeatherKind.FOG, 0.30), step_budget=80,
         )
-        r = result.report
-        assert r.weather_kind == "fog"
-        assert r.weather_intensity == 0.30
-        assert r.predictions + r.corrections + r.random == r.time_s
+        assert report.weather_kind == "fog"
+        assert report.weather_intensity == 0.30
+        assert report.predictions + report.corrections + report.random == report.time_s
 
     def test_deterministic_under_a_fixed_seed(self, phase_arch, small_world):
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
@@ -214,10 +209,9 @@ class TestExploitationPhase:
         config = AgentConfig(online_train_interval=10)
         reports = []
         for _ in range(2):
-            value, target, adam = fresh_agent(phase_arch, config)
-            result = run_exploitation_phase(env, value, target, adam, config, seed=6,
-                                            step_budget=100)
-            reports.append(result.report)
+            agent = Agent.new(config, seed=0, arch=phase_arch)
+            report, _ = run_exploitation_phase(env, agent, seed=6, step_budget=100)
+            reports.append(report)
         assert reports[0].route == reports[1].route
         assert reports[0].predictions == reports[1].predictions
         assert reports[0].corrections == reports[1].corrections
@@ -229,24 +223,20 @@ class TestExploitationPhase:
         world = generate_world(spec, start=GridCoord(1, 1), goal=GridCoord(10, 10))
         env = NavigationEnv(world=world, start=GridCoord(1, 1), goal=GridCoord(10, 10))
         config = AgentConfig(online_train_interval=30)
-        value, target, adam = fresh_agent(phase_arch, config)
-        result = run_exploitation_phase(env, value, target, adam, config, seed=7,
-                                        step_budget=80)
-        r = result.report
-        assert r.domain == "savanna"
-        assert r.predictions + r.corrections + r.random == r.time_s
+        agent = Agent.new(config, seed=0, arch=phase_arch)
+        report, _ = run_exploitation_phase(env, agent, seed=7, step_budget=80)
+        assert report.domain == "savanna"
+        assert report.predictions + report.corrections + report.random == report.time_s
 
     def test_replay_buffer_threads_through(self, phase_arch, small_world):
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
                             goal=GridCoord(8, 8))
         config = AgentConfig(online_train_interval=100)
-        value, target, adam = fresh_agent(phase_arch, config)
-        buf = ReplayBuffer(config.replay_capacity)
-        result = run_exploitation_phase(env, value, target, adam, config, seed=8,
-                                        weather=WeatherCondition(WeatherKind.CLEAR, 0.0),
-                                        buffer=buf, step_budget=30)
-        assert result.buffer is buf
-        assert len(buf) == result.report.time_s
+        agent = Agent.new(config, seed=0, arch=phase_arch)
+        report, _ = run_exploitation_phase(env, agent, seed=8,
+                                           weather=WeatherCondition(WeatherKind.CLEAR, 0.0),
+                                           step_budget=30)
+        assert len(agent.buffer) == report.time_s
 
 
 def counted_renders(monkeypatch) -> list[int]:
@@ -264,11 +254,10 @@ def counted_renders(monkeypatch) -> list[int]:
 def fly(arch, world, seed, weather=WeatherCondition(WeatherKind.CLEAR, 0.0), budget=30):
     env = NavigationEnv(world=world, start=GridCoord(1, 1), goal=GridCoord(8, 8))
     config = AgentConfig(online_train_interval=10, batch_size=8)
-    value, target, adam = fresh_agent(arch, config)
-    buf = ReplayBuffer(config.replay_capacity)
-    result = run_exploitation_phase(env, value, target, adam, config, seed=seed,
-                                    weather=weather, buffer=buf, step_budget=budget)
-    return result.report, buf
+    agent = Agent.new(config, seed=0, arch=arch)
+    report, _ = run_exploitation_phase(env, agent, seed=seed, weather=weather,
+                                       step_budget=budget)
+    return report, agent.buffer
 
 
 class TestSharedTransition:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -163,6 +164,24 @@ class TestGeneration:
         movers = [o for o in world.obstacles if o.vx or o.vy]
         assert len(movers) == 4
         assert world.has_dynamics
+
+    @pytest.mark.parametrize("spec, start, goal, digest", [
+        (WorldSpec(domain=Domain.FOREST, width_m=30, height_m=30, seed=11),
+         GridCoord(1, 1), GridCoord(28, 28),
+         "4eb9e0c14bb7ffce4dc6fe4f284457487fb9ce711c5c502fe8dac445856d2e0b"),
+        (WorldSpec(domain=Domain.PLAIN, width_m=40, height_m=25, seed=5),
+         GridCoord(2, 3), GridCoord(20, 35),
+         "3515f8ce9de78afc8056b1d36570eff6ab86dee7c2c7b392d080febb0939b69d"),
+        (WorldSpec(domain=Domain.SAVANNA, width_m=30, height_m=30, dynamic_count=4, seed=9),
+         GridCoord(1, 1), GridCoord(28, 28),
+         "03bf7212e4a610c1d65ba38a327c08f79c5392504cfbf70de44314319d7cb183"),
+    ], ids=["forest", "plain", "savanna-movers"])
+    def test_world_files_keep_their_bytes(self, tmp_path, spec, start, goal, digest):
+        # pins the rng draw order (x, y, then shade; or x, y, angle, speed and
+        # shade for a mover) that every seeded world depends on
+        path = tmp_path / "world.json"
+        save_world(generate_world(spec, start=start, goal=goal), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_one_mover_is_dynamics(self):
         statics = [Obstacle(x=float(i), y=3.0) for i in range(1, 6)]
