@@ -21,7 +21,6 @@ empty buffer, no updates yet and empty caches.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -193,8 +192,8 @@ class _State(NamedTuple):
 
     local: LocalMap
     facing: Action
-    frame: np.ndarray | None
-    digest: bytes | None  # frame_digest(frame), taken once per rendered frame
+    frame: np.ndarray
+    digest: bytes  # frame_digest(frame), taken once per rendered frame
     raster: np.ndarray
 
     @property
@@ -274,16 +273,6 @@ def _transition(agent: Agent, state: _State, world: World, goal: GridCoord,
     return nxt, decision, r, sensed
 
 
-def _free_cells(world: World) -> np.ndarray:
-    """(n, 2) row and column of every cell no obstacle touches, row-major."""
-    blocked = occupied_cells(world)
-    free = np.ones(world.shape, dtype=bool)
-    cells = np.fromiter(itertools.chain.from_iterable(blocked), dtype=np.intp,
-                        count=2 * len(blocked)).reshape(-1, 2)
-    free[cells[:, 0], cells[:, 1]] = False
-    return np.argwhere(free)
-
-
 def run_exploration_phase(env: NavigationEnv, agent: Agent, seed: int,
                           progress=None) -> tuple[list[EpisodeLog], bool]:
     """Train ``agent`` in place in teleport mode until the success streak or
@@ -299,7 +288,7 @@ def run_exploration_phase(env: NavigationEnv, agent: Agent, seed: int,
     config = agent.config
     world = env.world
     frame_size = agent.value_net.arch.frame_size
-    free_cells = _free_cells(world)
+    free_cells = np.argwhere(~occupied_cells(world))  # row-major
     if not len(free_cells):
         raise ValueError("world has no free cell to spawn in")
 
@@ -378,7 +367,6 @@ def run_exploitation_phase(
     agent: Agent,
     seed: int,
     weather: WeatherCondition = CLEAR,
-    step_budget: int | None = None,
 ) -> tuple[MissionReport, GlobalMap]:
     """Fly one continuous mission with ``agent``, learning online in place;
     returns the mission report and the global map.
@@ -391,7 +379,6 @@ def run_exploitation_phase(
     """
     rng = np.random.default_rng(seed)
     config = agent.config
-    budget = config.mission_step_budget if step_budget is None else step_budget
     world = env.world
     frame_size = agent.value_net.arch.frame_size
     global_map = new_global_map(world.shape[1], world.shape[0], env.start, env.goal)
@@ -407,20 +394,17 @@ def run_exploitation_phase(
 
     local, sensed = _spawn(env.start, world, env.goal)
     obstacles_seen: set[GridCoord] = set(sensed)
-    state = _State(local, Action.NORTH, None, None, render_decision_map(local))
+    # decision 1 sees the world one step after the spawn, like every later
+    # decision sees it one step after the previous one
+    world = advanced(world)
+    state = _observed(local, Action.NORTH, observe(world, env.start, Action.NORTH, 1))
     route = [env.start]
     counts = {PolicyDecision.PREDICTED: 0, PolicyDecision.CORRECTED: 0, PolicyDecision.RANDOM: 0}
     episode_id = 0
 
     steps = 0
-    while steps < budget and state.agent != env.goal:
+    while steps < config.mission_step_budget and state.agent != env.goal:
         steps += 1
-        if state.frame is None:
-            # decision 1 sees the world one step after the spawn, like every
-            # later decision sees it one step after the previous one
-            world = advanced(world)
-            frame = observe(world, state.agent, state.facing, steps)
-            state = state._replace(frame=frame, digest=frame_digest(frame))
         # the next frame shows the world the next decision is made in
         next_world = advanced(world)
         step = _transition(agent, state, world, env.goal, config.epsilon_test,

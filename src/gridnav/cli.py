@@ -81,7 +81,6 @@ class RunConfig(_AgentFields):
     intensity: float = 0.0
     missions: str = ""
     sequence_scale: float = 1.0
-    step_budget: int | None = None
     # run control
     seed: int = 0
     out_dir: str = "out"
@@ -196,7 +195,7 @@ def cmd_generate_world(config: RunConfig) -> int:
     world = generate_world(config.world_spec(), start=start, goal=goal)
     path = os.path.join(_ensure_out(config), "world.json")
     save_world(world, path)
-    print(f"wrote {path}: {len(world.obstacles)} obstacles (seed {world.spec.seed})")
+    print(f"wrote {path}: {len(world)} obstacles (seed {world.spec.seed})")
     return EXIT_OK
 
 
@@ -207,7 +206,7 @@ def _endpoint_error(world: World, start: GridCoord, goal: GridCoord) -> str | No
     for name, cell in (("start", start), ("goal", goal)):
         if not (0 <= cell.row < height and 0 <= cell.col < width):
             return f"{name} cell ({cell.row}, {cell.col}) is outside the {height}x{width} world"
-        if cell in blocked:
+        if blocked[cell.row, cell.col]:
             return f"{name} cell ({cell.row}, {cell.col}) is occupied by an obstacle"
     return None
 
@@ -215,7 +214,11 @@ def _endpoint_error(world: World, start: GridCoord, goal: GridCoord) -> str | No
 def cmd_train(config: RunConfig) -> int:
     start, goal = _default_endpoints(config)
     if config.world_file:
-        world = load_world(config.world_file)
+        try:
+            world = load_world(config.world_file)
+        except (OSError, ValueError) as exc:
+            print(f"error: world file {config.world_file!r}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         world = generate_world(config.world_spec(), start=start, goal=goal)
     error = _endpoint_error(world, start, goal)
@@ -295,7 +298,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     reports = []
     if missions:
         for spec in missions:
-            report, agent, env = run_mission(spec, agent, step_budget=config.step_budget)
+            report, agent, env = run_mission(spec, agent)
             reports.append(report)
             svg_path = os.path.join(out, f"route_{spec.name}.svg")
             with open(svg_path, "w", encoding="utf-8") as fh:
@@ -307,7 +310,6 @@ def cmd_evaluate(config: RunConfig) -> int:
             config.seed,
             scale=config.sequence_scale,
             obstacle_density=config.obstacle_density,
-            step_budget=config.step_budget,
         )
     paths = emit_report(reports, out)
     completed = sum(r.completed for r in reports)
@@ -379,7 +381,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--checkpoint", dest="checkpoint")
     p.add_argument("--scale", type=float, dest="sequence_scale")
-    p.add_argument("--budget", type=int, dest="step_budget")
+    p.add_argument("--budget", type=int, dest="mission_step_budget")
     p.add_argument("--missions", dest="missions",
                    help="semicolon-separated r,c:r,c start/goal pairs")
     p.add_argument("--width", type=int, dest="world_width")

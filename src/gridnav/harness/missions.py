@@ -51,7 +51,6 @@ class MissionSpec:
 def run_mission(
     spec: MissionSpec,
     agent: phases.Agent,
-    step_budget: int | None = None,
 ) -> tuple[phases.MissionReport, phases.Agent, phases.NavigationEnv]:
     """Fly one mission with a fresh-phase copy of ``agent``, which is left as
     it was; returns the report, the updated agent, and the environment it
@@ -60,8 +59,7 @@ def run_mission(
     world = generate_world(spec.world, start=spec.start, goal=spec.goal)
     env = phases.NavigationEnv(world=world, start=spec.start, goal=spec.goal)
     flown = replace(agent)
-    report, _ = phases.run_exploitation_phase(env, flown, seed=spec.seed,
-                                              weather=spec.weather, step_budget=step_budget)
+    report, _ = phases.run_exploitation_phase(env, flown, seed=spec.seed, weather=spec.weather)
     if spec.name:
         report.domain = f"{report.domain}:{spec.name}"
     return report, flown, env
@@ -139,7 +137,6 @@ def run_test_sequence(
     master_seed: int,
     scale: float = 1.0,
     obstacle_density: float | None = None,
-    step_budget: int | None = None,
 ) -> tuple[list[phases.MissionReport], phases.Agent]:
     """Run the ten tests in order, carrying the learned parameters forward.
 
@@ -149,6 +146,6 @@ def run_test_sequence(
     reports = []
     for spec in build_test_sequence(master_seed, scale=scale,
                                     obstacle_density=obstacle_density):
-        report, agent, _ = run_mission(spec, agent, step_budget=step_budget)
+        report, agent, _ = run_mission(spec, agent)
         reports.append(report)
     return reports, agent

@@ -110,30 +110,22 @@ def decay_results_to_csv(results: list[DecayExperimentResult]) -> str:
     return buf.getvalue()
 
 
-def route_trace_svg(report: MissionReport, world: World,
-                    start: GridCoord | None = None,
-                    goal: GridCoord | None = None) -> str:
+def route_trace_svg(report: MissionReport, world: World, start: GridCoord,
+                    goal: GridCoord) -> str:
     """Vector trace of one mission: obstacles, route, start/goal markers.
 
     Cells revisited several times are drawn darker: the overlay square of a
     cell visited n times carries fill-opacity min(1, 0.25 n) plus a
-    ``data-visits`` attribute for tooling.  Start and goal default to the
-    route endpoints when not given explicitly.
+    ``data-visits`` attribute for tooling.
     """
     width = world.spec.width_m
     height = world.spec.height_m
-    if start is None and report.route:
-        start = report.route[0]
-    if goal is None and report.route:
-        goal = report.route[-1]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#202820"/>',
     ]
-    for obs in world.obstacles:
-        parts.append(
-            f'<circle cx="{obs.x:.3f}" cy="{obs.y:.3f}" r="{obs.radius:.3f}" fill="red"/>'
-        )
+    for x, y, r in zip(world.x.tolist(), world.y.tolist(), world.radius.tolist()):
+        parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{r:.3f}" fill="red"/>')
 
     visits: dict[GridCoord, int] = {}
     for cell in report.route:
@@ -150,16 +142,9 @@ def route_trace_svg(report: MissionReport, world: World,
             f'<polyline points="{points}" fill="none" stroke="white" '
             f'stroke-width="0.2" stroke-opacity="0.8"/>'
         )
-    if start is not None:
-        parts.append(
-            f'<circle cx="{start.col + 0.5}" cy="{start.row + 0.5}" r="0.7" '
-            f'fill="none" stroke="cyan" stroke-width="0.25" data-marker="start"/>'
-        )
-    if goal is not None:
-        parts.append(
-            f'<circle cx="{goal.col + 0.5}" cy="{goal.row + 0.5}" r="0.7" '
-            f'fill="none" stroke="yellow" stroke-width="0.25" data-marker="goal"/>'
-        )
+    for cell, stroke, marker in ((start, "cyan", "start"), (goal, "yellow", "goal")):
+        parts.append(f'<circle cx="{cell.col + 0.5}" cy="{cell.row + 0.5}" r="0.7" fill="none" '
+                     f'stroke="{stroke}" stroke-width="0.25" data-marker="{marker}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

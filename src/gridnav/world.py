@@ -8,11 +8,12 @@ or fog.
 Geometry conventions: the world is a ``width_m`` x ``height_m`` rectangle;
 grid cell (row, col) is the unit square with centre ``(x, y) = (col + 0.5,
 row + 0.5)``, x growing east and y growing south.  North is toward smaller
-rows.  Everything here is a pure function of its inputs (worlds are
-immutable snapshots), so rendering is reentrant and thread-safe.  The
-column view a snapshot caches on first use (``World.columns``) is derived
-from its obstacles and never changed afterwards, so that stays true; each
-query reads from it only the obstacles within its reach.
+rows.  A :class:`World` is its obstacles as read-only float64 columns (x,
+y, radius, shade, vx, vy), one entry per obstacle in generation order;
+nothing changes a world once built (``step_dynamics`` returns a new one),
+so everything here is a pure function of its inputs and rendering is
+reentrant and thread-safe.  Each query reads from the columns only the
+obstacles within its reach.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy.ndimage import uniform_filter
@@ -123,33 +123,42 @@ class WorldSpec:
         return (self.height_m, self.width_m)
 
 
-@dataclass(frozen=True)
-class Obstacle:
-    x: float
-    y: float
-    radius: float = DEFAULT_OBSTACLE_RADIUS
-    vx: float = 0.0
-    vy: float = 0.0
-    shade: float = 0.5
+@dataclass(frozen=True, eq=False)
+class World:
+    """One snapshot of a world: its spec and its obstacles as float64
+    columns, entry ``i`` of each column describing obstacle ``i`` in
+    generation order.  The columns are private read-only copies of what
+    the constructor is given."""
 
-
-class ObstacleColumns(NamedTuple):
-    """The obstacles of one world as float64 columns, in their tuple order."""
-
+    spec: WorldSpec
     x: np.ndarray
     y: np.ndarray
     radius: np.ndarray
     shade: np.ndarray
     vx: np.ndarray
     vy: np.ndarray
-    movers: np.ndarray  # indices of the obstacles with a nonzero velocity
 
-    @classmethod
-    def of(cls, obstacles: tuple[Obstacle, ...]) -> ObstacleColumns:
-        table = np.array([(o.x, o.y, o.radius, o.shade, o.vx, o.vy) for o in obstacles],
-                         dtype=np.float64).reshape(-1, 6).T.copy()
-        x, y, radius, shade, vx, vy = table
-        return cls(x, y, radius, shade, vx, vy, np.flatnonzero((vx != 0.0) | (vy != 0.0)))
+    def __post_init__(self) -> None:
+        for name in ("x", "y", "radius", "shade", "vx", "vy"):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.x.size
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.spec.shape
+
+    @cached_property
+    def movers(self) -> np.ndarray:
+        """Indices of the obstacles with a nonzero velocity."""
+        return np.flatnonzero((self.vx != 0.0) | (self.vy != 0.0))
+
+    @property
+    def has_dynamics(self) -> bool:
+        return self.movers.size > 0
 
     def within(self, x: float, y: float, reach: float) -> np.ndarray:
         """Indices, in order, of the obstacles whose disc may come within
@@ -157,25 +166,6 @@ class ObstacleColumns(NamedTuple):
         the exact distance test."""
         bound = self.radius + (reach + _REACH_SLACK_M)
         return np.flatnonzero((np.abs(self.x - x) <= bound) & (np.abs(self.y - y) <= bound))
-
-
-@dataclass(frozen=True)
-class World:
-    spec: WorldSpec
-    obstacles: tuple[Obstacle, ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.spec.shape
-
-    @cached_property
-    def columns(self) -> ObstacleColumns:
-        """Column view of ``obstacles``, built once per snapshot."""
-        return ObstacleColumns.of(self.obstacles)
-
-    @property
-    def has_dynamics(self) -> bool:
-        return self.columns.movers.size > 0
 
 
 class GenerationError(RuntimeError):
@@ -225,44 +215,44 @@ def generate_world(
         raise GenerationError(f"could not place {count + spec.dynamic_count} obstacles "
                               "and keep start/goal clear")
 
-    obstacles: list[Obstacle] = []
+    rows: list[tuple[float, float, float, float, float]] = []  # x, y, shade, vx, vy
     for _ in range(count):
         x, y = clear_position()
-        obstacles.append(Obstacle(x=x, y=y, radius=obstacle_radius, shade=rng.uniform(0.0, 1.0)))
+        rows.append((x, y, rng.uniform(0.0, 1.0), 0.0, 0.0))
     for _ in range(spec.dynamic_count):
         x, y = clear_position()
         angle = rng.uniform(0.0, 2.0 * math.pi)
         speed = rng.uniform(0.5, 1.5)
-        obstacles.append(Obstacle(x=x, y=y, radius=obstacle_radius, shade=rng.uniform(0.0, 1.0),
-                                  vx=speed * math.cos(angle), vy=speed * math.sin(angle)))
+        rows.append((x, y, rng.uniform(0.0, 1.0), speed * math.cos(angle),
+                     speed * math.sin(angle)))
 
-    return World(spec=spec, obstacles=tuple(obstacles))
+    x, y, shade, vx, vy = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+    return World(spec, x, y, np.full(len(rows), obstacle_radius), shade, vx, vy)
 
 
-def occupied_cells(world: World) -> set[GridCoord]:
-    """Every grid cell whose unit square is touched by some obstacle disc."""
+def occupied_cells(world: World) -> np.ndarray:
+    """``(height, width)`` bool mask of the grid cells whose unit square is
+    touched by some obstacle disc."""
     height, width = world.shape
-    cols = world.columns
-    r0 = np.maximum(np.floor(cols.y - cols.radius).astype(np.int64), 0)
-    r1 = np.minimum(np.floor(cols.y + cols.radius).astype(np.int64), height - 1)
-    c0 = np.maximum(np.floor(cols.x - cols.radius).astype(np.int64), 0)
-    c1 = np.minimum(np.floor(cols.x + cols.radius).astype(np.int64), width - 1)
-    radius2 = np.float_power(cols.radius, 2)
-    rows, columns = [], []
+    r0 = np.maximum(np.floor(world.y - world.radius).astype(np.int64), 0)
+    r1 = np.minimum(np.floor(world.y + world.radius).astype(np.int64), height - 1)
+    c0 = np.maximum(np.floor(world.x - world.radius).astype(np.int64), 0)
+    c1 = np.minimum(np.floor(world.x + world.radius).astype(np.int64), width - 1)
+    radius2 = np.float_power(world.radius, 2)
+    occupied = np.zeros(world.shape, dtype=bool)
     # each offset tests one cell of every obstacle's bounding box at once
     for dr in range(int(np.max(r1 - r0, initial=-1)) + 1):
         for dc in range(int(np.max(c1 - c0, initial=-1)) + 1):
             r, c = r0 + dr, c0 + dc
             # the disc-vs-square test of _disc_intersects_cell; float_power
             # squares through libm pow, as its scalar ``**`` does
-            nearest_x = np.minimum(np.maximum(cols.x, c), c + 1)
-            nearest_y = np.minimum(np.maximum(cols.y, r), r + 1)
+            nearest_x = np.minimum(np.maximum(world.x, c), c + 1)
+            nearest_y = np.minimum(np.maximum(world.y, r), r + 1)
             hit = (r <= r1) & (c <= c1) & (
-                np.float_power(cols.x - nearest_x, 2) + np.float_power(cols.y - nearest_y, 2)
+                np.float_power(world.x - nearest_x, 2) + np.float_power(world.y - nearest_y, 2)
                 <= radius2)
-            rows.extend(r[hit].tolist())
-            columns.extend(c[hit].tolist())
-    return set(map(GridCoord, rows, columns))
+            occupied[r[hit], c[hit]] = True
+    return occupied
 
 
 def sense_obstacles(world: World, agent: GridCoord) -> set[GridCoord]:
@@ -273,16 +263,18 @@ def sense_obstacles(world: World, agent: GridCoord) -> set[GridCoord]:
     neighbour's cell square.
     """
     ax, ay = cell_center(agent)
-    near = [world.obstacles[i] for i in world.columns.within(ax, ay, SENSE_RANGE_M)]
+    idx = world.within(ax, ay, SENSE_RANGE_M)
+    # Python floats, so that the scalar distance tests round as they always have
+    near = list(zip(world.x[idx].tolist(), world.y[idx].tolist(), world.radius[idx].tolist()))
     blocked: set[GridCoord] = set()
     for action in ACTIONS:
         dr, dc = ACTION_DELTAS[action]
         neighbour = GridCoord(agent.row + dr, agent.col + dc)
-        for obs in near:
-            gap = math.hypot(obs.x - ax, obs.y - ay) - obs.radius
+        for x, y, radius in near:
+            gap = math.hypot(x - ax, y - ay) - radius
             if gap >= SENSE_RANGE_M:
                 continue
-            if _disc_intersects_cell(obs.x, obs.y, obs.radius, neighbour):
+            if _disc_intersects_cell(x, y, radius, neighbour):
                 blocked.add(neighbour)
                 break
     return blocked
@@ -313,10 +305,9 @@ def render_frame(world: World, agent: GridCoord, facing: Action,
         axis=1,
     )
     ax, ay = cell_center(agent)
-    cols = world.columns
     # in index order, so that argmin ties and the shade lookup pick the same
     # obstacle as a pass over every obstacle would
-    near = cols.within(ax, ay, VIEW_RANGE_M)
+    near = world.within(ax, ay, VIEW_RANGE_M)
     if not near.size:
         return frame
 
@@ -326,10 +317,10 @@ def render_frame(world: World, agent: GridCoord, facing: Action,
     dirs_x = fx * np.cos(angles) - fy * np.sin(angles)
     dirs_y = fx * np.sin(angles) + fy * np.cos(angles)
 
-    ox = cols.x[near] - ax
-    oy = cols.y[near] - ay
-    radius = cols.radius[near]
-    shade = cols.shade[near]
+    ox = world.x[near] - ax
+    oy = world.y[near] - ay
+    radius = world.radius[near]
+    shade = world.shade[near]
 
     # Ray/disc intersection for every (column, obstacle) pair.
     proj = dirs_x[:, None] * ox[None, :] + dirs_y[:, None] * oy[None, :]
@@ -395,27 +386,18 @@ def step_dynamics(world: World, dt: float) -> World:
         return world
     width = float(world.spec.width_m)
     height = float(world.spec.height_m)
-    cols = world.columns
-    m = cols.movers
-    x = cols.x[m] + cols.vx[m] * dt
-    y = cols.y[m] + cols.vy[m] * dt
+    m = world.movers
+    x = world.x[m] + world.vx[m] * dt
+    y = world.y[m] + world.vy[m] * dt
     x_low, x_high, y_low, y_high = x < 0.0, x > width, y < 0.0, y > height
     x = np.where(x_low, -x, np.where(x_high, 2.0 * width - x, x))
     y = np.where(y_low, -y, np.where(y_high, 2.0 * height - y, y))
-    vx = np.where(x_low | x_high, -cols.vx[m], cols.vx[m])
-    vy = np.where(y_low | y_high, -cols.vy[m], cols.vy[m])
+    vx = np.where(x_low | x_high, -world.vx[m], world.vx[m])
+    vy = np.where(y_low | y_high, -world.vy[m], world.vy[m])
 
-    obstacles = list(world.obstacles)
-    for i, xi, yi, vxi, vyi in zip(m.tolist(), x.tolist(), y.tolist(), vx.tolist(),
-                                   vy.tolist()):
-        obstacles[i] = replace(obstacles[i], x=xi, y=yi, vx=vxi, vy=vyi)
-    new_x, new_y, new_vx, new_vy = (c.copy() for c in (cols.x, cols.y, cols.vx, cols.vy))
+    new_x, new_y, new_vx, new_vy = (c.copy() for c in (world.x, world.y, world.vx, world.vy))
     new_x[m], new_y[m], new_vx[m], new_vy[m] = x, y, vx, vy
-    moved = World(spec=world.spec, obstacles=tuple(obstacles))
-    # the moved columns hold exactly the floats just stored in ``obstacles``,
-    # so they seed the cached view without a Python pass over every obstacle
-    moved.__dict__["columns"] = cols._replace(x=new_x, y=new_y, vx=new_vx, vy=new_vy)
-    return moved
+    return replace(world, x=new_x, y=new_y, vx=new_vx, vy=new_vy)
 
 
 def world_to_dict(world: World) -> dict:
@@ -429,34 +411,31 @@ def world_to_dict(world: World) -> dict:
             "seed": world.spec.seed,
         },
         "obstacles": [
-            {"x": o.x, "y": o.y, "r": o.radius, "vx": o.vx, "vy": o.vy, "shade": o.shade}
-            for o in world.obstacles
+            {"x": x, "y": y, "r": r, "vx": vx, "vy": vy, "shade": shade}
+            for x, y, r, vx, vy, shade in zip(*(c.tolist() for c in (
+                world.x, world.y, world.radius, world.vx, world.vy, world.shade)))
         ],
     }
 
 
 def world_from_dict(doc: dict) -> World:
-    sd = doc["spec"]
-    spec = WorldSpec(
-        domain=Domain(sd["domain"]),
-        width_m=int(sd["width_m"]),
-        height_m=int(sd["height_m"]),
-        obstacle_density=sd.get("obstacle_density"),
-        dynamic_count=int(sd.get("dynamic_count", 0)),
-        seed=int(sd["seed"]),
-    )
-    obstacles = tuple(
-        Obstacle(
-            x=float(o["x"]),
-            y=float(o["y"]),
-            radius=float(o["r"]),
-            vx=float(o.get("vx", 0.0)),
-            vy=float(o.get("vy", 0.0)),
-            shade=float(o.get("shade", 0.5)),
+    """The world :func:`world_to_dict` wrote; raises ValueError naming a
+    missing key."""
+    try:
+        sd = doc["spec"]
+        spec = WorldSpec(
+            domain=Domain(sd["domain"]),
+            width_m=int(sd["width_m"]),
+            height_m=int(sd["height_m"]),
+            obstacle_density=sd.get("obstacle_density"),
+            dynamic_count=int(sd.get("dynamic_count", 0)),
+            seed=int(sd["seed"]),
         )
-        for o in doc["obstacles"]
-    )
-    return World(spec=spec, obstacles=obstacles)
+        rows = [(float(o["x"]), float(o["y"]), float(o["r"]), float(o.get("shade", 0.5)),
+                 float(o.get("vx", 0.0)), float(o.get("vy", 0.0))) for o in doc["obstacles"]]
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc.args[0]!r}") from exc
+    return World(spec, *np.array(rows, dtype=np.float64).reshape(-1, 6).T)
 
 
 def save_world(world: World, path) -> None:

@@ -1,9 +1,40 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from gridnav import nn
 from gridnav.mapping import GridCoord
-from gridnav.world import Domain, WorldSpec, generate_world
+from gridnav.world import DEFAULT_OBSTACLE_RADIUS, Domain, World, WorldSpec, generate_world
+
+COLUMNS = ("x", "y", "radius", "shade", "vx", "vy")
+
+
+class Disc(NamedTuple):
+    """One obstacle, written out for a hand-built world."""
+
+    x: float
+    y: float
+    radius: float = DEFAULT_OBSTACLE_RADIUS
+    shade: float = 0.5
+    vx: float = 0.0
+    vy: float = 0.0
+
+
+def world_of(spec: WorldSpec, discs) -> World:
+    """The world of ``spec`` whose obstacles are ``discs``, in order."""
+    return World(spec, *np.array(discs, dtype=np.float64).reshape(-1, 6).T)
+
+
+def discs_of(world: World) -> list[Disc]:
+    """The obstacles of ``world`` as Python floats, in order."""
+    return [Disc(*row) for row in zip(*(getattr(world, name).tolist() for name in COLUMNS))]
+
+
+def same_world(a: World, b: World) -> bool:
+    """Equal specs and bit-identical obstacle columns."""
+    return a.spec == b.spec and all(
+        getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in COLUMNS)
 
 
 @pytest.fixture

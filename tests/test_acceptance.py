@@ -380,7 +380,7 @@ def small_checkpoint_arch():
 
 
 def test_criterion_8_safety_invariant(small_checkpoint_arch):
-    config = AgentConfig(online_train_interval=6, batch_size=16)
+    config = AgentConfig(online_train_interval=6, batch_size=16, mission_step_budget=260)
     conditions = [
         WeatherCondition(WeatherKind.CLEAR, 0.0),
         WeatherCondition(WeatherKind.SNOW, 0.15),
@@ -395,8 +395,7 @@ def test_criterion_8_safety_invariant(small_checkpoint_arch):
         world = generate_world(world_spec, start=start, goal=goal)
         env = NavigationEnv(world=world, start=start, goal=goal)
         agent = Agent.new(config, seed=i, arch=small_checkpoint_arch)
-        r, _ = run_exploitation_phase(env, agent, seed=900 + i, weather=weather,
-                                      step_budget=260)
+        r, _ = run_exploitation_phase(env, agent, seed=900 + i, weather=weather)
         assert r.predictions + r.corrections + r.random == r.time_s
         assert r.time_s == len(r.route) - 1
         replay_route_and_verify(r, world, start, goal)

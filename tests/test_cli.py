@@ -37,6 +37,10 @@ TINY_TRAIN = dict(
 )
 
 
+SMALL_WORLD_DOC = {"spec": {"domain": "plain", "width_m": 10, "height_m": 10, "seed": 0},
+                   "obstacles": [{"x": 3.5, "y": 3.5, "r": 0.3}]}
+
+
 class TestGenerateWorld:
     def test_writes_a_deterministic_world_file(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -223,6 +227,27 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file or directory"),
+        ("not json", "Expecting value"),
+        (json.dumps({**SMALL_WORLD_DOC, "obstacles": [{"y": 3.5, "r": 0.3}]}),
+         "missing key 'x'"),
+        (json.dumps({**SMALL_WORLD_DOC, "spec": {**SMALL_WORLD_DOC["spec"], "width_m": 0}}),
+         "world dimensions must be positive"),
+    ], ids=["missing-file", "not-json", "obstacle-without-x", "zero-width"])
+    def test_bad_world_file_is_a_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "world.json"
+        if text is not None:
+            path.write_text(text)
+        cfg = write_config(tmp_path / "cfg", **TINY_TRAIN, world_file=str(path))
+        out = tmp_path / "o"
+        code = run_cli("train", "--config", cfg, "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: world file {str(path)!r}: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_training_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         cfg = write_config(tmp_path / "cfg", world_width=10, world_height=10,
                            obstacle_density=10.0, goal_row=5, goal_col=5,
@@ -272,7 +297,7 @@ EVAL_KEYS = dict(
     world_height=10,
     obstacle_density=3.0,
     online_train_interval=100000,
-    step_budget=80,
+    mission_step_budget=80,
 )
 
 
@@ -381,7 +406,7 @@ class TestEvaluate:
     ], ids=["snow", "savanna"])
     def test_drqn_checkpoint_flies_in_snow_and_on_savanna(self, tmp_path, trained_drqn,
                                                           scene, flags):
-        cfg = write_config(tmp_path / "cfg", **{**EVAL_KEYS, "step_budget": 20, **scene})
+        cfg = write_config(tmp_path / "cfg", **{**EVAL_KEYS, "mission_step_budget": 20, **scene})
         out = tmp_path / "o"
         code = run_cli("evaluate", "--config", cfg, "--rule", "drqn100", "--checkpoint",
                        str(trained_drqn), "--missions", "1,1:8,8", "--seed", "3",
@@ -390,9 +415,19 @@ class TestEvaluate:
         report = json.loads((out / "missions.json").read_text())["reports"][0]
         assert report["time_s"] > 0
 
+    def test_budget_flag_sets_the_mission_step_budget(self, tmp_path, trained_tiny):
+        out = tmp_path / "o"
+        code = run_cli("evaluate", "--config", write_config(tmp_path / "cfg", **EVAL_KEYS),
+                       "--checkpoint", str(trained_tiny), "--missions", "1,1:8,8",
+                       "--budget", "3", "--out", str(out))
+        assert code == EXIT_OK
+        assert "mission_step_budget = 3\n" in (out / "effective_config.txt").read_text()
+        assert json.loads((out / "missions.json").read_text())["reports"][0]["time_s"] == 3
+
     def test_full_sequence_runs_ten_scaled_missions(self, tmp_path, trained_tiny):
         cfg = write_config(tmp_path / "cfg", online_train_interval=100000,
-                           obstacle_density=1.0, sequence_scale=0.05, step_budget=60)
+                           obstacle_density=1.0, sequence_scale=0.05,
+                           mission_step_budget=60)
         out = tmp_path / "o"
         code = run_cli("evaluate", "--config", cfg, "--checkpoint", str(trained_tiny),
                        "--seed", "8", "--out", str(out))

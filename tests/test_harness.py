@@ -26,7 +26,9 @@ from gridnav.harness import (
     run_test_sequence,
 )
 from gridnav.mapping import GridCoord
-from gridnav.world import Domain, Obstacle, WeatherKind, World, WorldSpec
+from gridnav.world import Domain, WeatherKind, WorldSpec
+
+from conftest import Disc, world_of
 
 
 class TestDecayExperiment:
@@ -148,13 +150,14 @@ class TestRouteTrace:
     def world(self):
         spec = WorldSpec(domain=Domain.FOREST, width_m=10, height_m=10,
                          obstacle_density=0.0, seed=0)
-        return World(spec=spec, obstacles=(Obstacle(x=3.0, y=3.0),
-                                           Obstacle(x=7.0, y=7.0)))
+        return world_of(spec, [Disc(x=3.0, y=3.0), Disc(x=7.0, y=7.0)])
+
+    def trace(self, report):
+        return route_trace_svg(report, self.world(), start=GridCoord(0, 0),
+                               goal=GridCoord(9, 9))
 
     def test_empty_route_has_only_markers(self):
-        report = sample_report(route=[])
-        svg = route_trace_svg(report, self.world(), start=GridCoord(0, 0),
-                              goal=GridCoord(9, 9))
+        svg = self.trace(sample_report(route=[]))
         assert 'data-marker="start"' in svg
         assert 'data-marker="goal"' in svg
         assert "polyline" not in svg
@@ -162,13 +165,14 @@ class TestRouteTrace:
 
     def test_revisited_cell_shows_its_count(self):
         route = [GridCoord(0, 0), GridCoord(0, 1), GridCoord(0, 0)]
-        svg = route_trace_svg(sample_report(route=route), self.world())
+        svg = self.trace(sample_report(route=route))
         assert 'data-visits="2"' in svg
         assert 'data-visits="1"' in svg
 
     def test_obstacle_circles_match_world(self):
-        svg = route_trace_svg(sample_report(), self.world())
+        svg = self.trace(sample_report())
         assert svg.count('fill="red"') == 2
+        assert '<circle cx="7.000" cy="7.000" r="0.300" fill="red"/>' in svg
 
 
 PLAIN_MISSION = MissionSpec(
@@ -192,11 +196,10 @@ class TestMissions:
 
     def test_run_mission_is_deterministic(self, phase_arch):
         spec = PLAIN_MISSION
-        config = AgentConfig(online_train_interval=50)
+        config = AgentConfig(online_train_interval=50, mission_step_budget=120)
         outputs = []
         for _ in range(2):
-            report, _, _ = run_mission(spec, Agent.new(config, seed=0, arch=phase_arch),
-                                       step_budget=120)
+            report, _, _ = run_mission(spec, Agent.new(config, seed=0, arch=phase_arch))
             outputs.append(mission_reports_to_json([report]))
         assert outputs[0] == outputs[1]
 
@@ -218,11 +221,11 @@ class TestMissions:
             assert abs(math.dist(s.start, s.goal) - s.target_distance) <= 1.0
 
     def test_full_sequence_emits_ten_reports_in_order(self, phase_arch):
-        config = AgentConfig(online_train_interval=8, batch_size=8)
+        config = AgentConfig(online_train_interval=8, batch_size=8, mission_step_budget=120)
         agent = Agent.new(config, seed=0, arch=phase_arch)
         before = {k: v.copy() for k, v in agent.value_net.params.items()}
         reports, updated = run_test_sequence(agent, master_seed=3, scale=0.05,
-                                             obstacle_density=1.0, step_budget=120)
+                                             obstacle_density=1.0)
         assert len(reports) == 10
         assert [r.domain.split(":")[1] for r in reports] == [t[0] for t in TEST_SEQUENCE]
         for r in reports:
@@ -233,11 +236,12 @@ class TestMissions:
         )
 
     def test_run_mission_leaves_the_callers_agent_as_it_was(self, phase_arch):
-        config = AgentConfig(online_train_interval=1, batch_size=4, target_sync_every=3)
+        config = AgentConfig(online_train_interval=1, batch_size=4, target_sync_every=3,
+                             mission_step_budget=6)
         agent = Agent.new(config, seed=0, arch=phase_arch)
         value_net, target_net, adam = agent.value_net, agent.target_net, agent.adam
         before = {k: v.copy() for k, v in value_net.params.items()}
-        report, flown, _ = run_mission(PLAIN_MISSION, agent, step_budget=20)
+        report, flown, _ = run_mission(PLAIN_MISSION, agent)
         assert flown.value_net is not value_net
         assert agent.value_net is value_net and agent.target_net is target_net
         assert agent.adam is adam
@@ -247,14 +251,13 @@ class TestMissions:
         # every mission starts from an empty buffer and no updates, so it
         # updates from its 4th step on and syncs its target on its own cadence
         for flying in (agent, flown):
-            report, flown, _ = run_mission(PLAIN_MISSION, flying, step_budget=6)
+            report, flown, _ = run_mission(PLAIN_MISSION, flying)
             assert len(flown.buffer) == report.time_s == 6
             assert flown.train_steps == 3
 
     def test_checkpoint_save_load_round_trip(self, tmp_path, phase_arch):
-        config = AgentConfig(online_train_interval=1, batch_size=4)
-        _, agent, _ = run_mission(PLAIN_MISSION, Agent.new(config, seed=0, arch=phase_arch),
-                                  step_budget=8)
+        config = AgentConfig(online_train_interval=1, batch_size=4, mission_step_budget=8)
+        _, agent, _ = run_mission(PLAIN_MISSION, Agent.new(config, seed=0, arch=phase_arch))
         assert agent.adam.step > 0  # trained moments, not fresh zeros
         path = tmp_path / "agent.npz"
         agent.save(path)

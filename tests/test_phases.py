@@ -16,10 +16,8 @@ from gridnav.agent import (
 from gridnav.mapping import Action, GridCoord
 from gridnav.world import (
     Domain,
-    Obstacle,
     WeatherCondition,
     WeatherKind,
-    World,
     WorldSpec,
     apply_weather,
     generate_world,
@@ -27,13 +25,15 @@ from gridnav.world import (
     render_frame,
 )
 
+from conftest import Disc, world_of
+
 
 def corridor_world(length=2):
     """1 x length strip with no obstacles: from any spawn, the only valid
     moves run along the strip and the goal is always inside the window."""
     spec = WorldSpec(domain=Domain.PLAIN, width_m=length, height_m=1,
                      obstacle_density=0.0, seed=0)
-    return World(spec=spec, obstacles=())
+    return world_of(spec, [])
 
 
 def train(env, config, seed, arch):
@@ -114,7 +114,14 @@ class TestExplorationPhase:
         for key in a.value_net.params:
             assert np.array_equal(a.value_net.params[key], b.value_net.params[key])
 
-    def test_free_cells_match_a_per_cell_loop(self):
+    def test_first_spawn_is_a_seeded_draw_from_the_free_cells_row_major(self, phase_arch,
+                                                                         monkeypatch):
+        spawns = []
+        spawn = phases._spawn
+        monkeypatch.setattr(phases, "_spawn",
+                            lambda cell, *rest: spawns.append(cell) or spawn(cell, *rest))
+        config = AgentConfig(max_episodes=1, max_steps_per_episode=1,
+                             exploration_train_interval=None, train_steps_per_episode=0)
         rng = np.random.default_rng(4)
         for trial in range(20):
             width, height = (int(v) for v in rng.integers(1, 30, size=2))
@@ -123,9 +130,14 @@ class TestExplorationPhase:
                              seed=trial)
             world = generate_world(spec)
             blocked = occupied_cells(world)
-            loop = [(r, c) for r in range(height) for c in range(width)
-                    if GridCoord(r, c) not in blocked]
-            assert [tuple(cell) for cell in phases._free_cells(world).tolist()] == loop, \
+            loop = [GridCoord(r, c) for r in range(height) for c in range(width)
+                    if not blocked[r, c]]
+            if not loop:
+                continue
+            env = NavigationEnv(world=world, start=GridCoord(0, 0), goal=GridCoord(0, 0))
+            spawns.clear()
+            train(env, config, seed=trial, arch=phase_arch)
+            assert spawns == [loop[int(np.random.default_rng(trial).integers(len(loop)))]], \
                 f"trial {trial}"
 
 
@@ -143,9 +155,9 @@ class TestExploitationPhase:
     def test_accounting_identity_and_route_consistency(self, phase_arch, small_world):
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
                             goal=GridCoord(8, 8))
-        config = AgentConfig(online_train_interval=10)
+        config = AgentConfig(online_train_interval=10, mission_step_budget=120)
         agent = Agent.new(config, seed=0, arch=phase_arch)
-        report, _ = run_exploitation_phase(env, agent, seed=1, step_budget=120)
+        report, _ = run_exploitation_phase(env, agent, seed=1)
         assert report.predictions + report.corrections + report.random == report.time_s
         assert report.time_s == len(report.route) - 1
         for a, b in zip(report.route, report.route[1:]):
@@ -155,9 +167,9 @@ class TestExploitationPhase:
                                                                     small_world):
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
                             goal=GridCoord(8, 8))
-        config = AgentConfig(online_train_interval=50)
+        config = AgentConfig(online_train_interval=50, mission_step_budget=5)
         agent = Agent.new(config, seed=0, arch=phase_arch)
-        report, _ = run_exploitation_phase(env, agent, seed=2, step_budget=5)
+        report, _ = run_exploitation_phase(env, agent, seed=2)
         assert not report.completed
         assert report.time_s == 5
         assert len(report.route) == 6
@@ -166,25 +178,22 @@ class TestExploitationPhase:
         # four obstacles pin the agent in place immediately
         spec = WorldSpec(domain=Domain.PLAIN, width_m=5, height_m=5,
                          obstacle_density=0.0, seed=0)
-        obstacles = tuple(
-            Obstacle(x=x, y=y)
-            for x, y in ((2.5, 1.5), (2.5, 3.5), (1.5, 2.5), (3.5, 2.5))
-        )
-        world = World(spec=spec, obstacles=obstacles)
+        world = world_of(spec, [Disc(x=x, y=y)
+                                for x, y in ((2.5, 1.5), (2.5, 3.5), (1.5, 2.5), (3.5, 2.5))])
         env = NavigationEnv(world=world, start=GridCoord(2, 2), goal=GridCoord(4, 4))
-        config = AgentConfig()
+        config = AgentConfig(mission_step_budget=50)
         agent = Agent.new(config, seed=0, arch=phase_arch)
-        report, _ = run_exploitation_phase(env, agent, seed=3, step_budget=50)
+        report, _ = run_exploitation_phase(env, agent, seed=3)
         assert not report.completed
         assert report.time_s == 0
 
     def test_online_learning_updates_parameters(self, phase_arch, small_world):
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
                             goal=GridCoord(8, 8))
-        config = AgentConfig(batch_size=8, online_train_interval=1)
+        config = AgentConfig(batch_size=8, online_train_interval=1, mission_step_budget=60)
         agent = Agent.new(config, seed=0, arch=phase_arch)
         before = {k: v.copy() for k, v in agent.value_net.params.items()}
-        run_exploitation_phase(env, agent, seed=4, step_budget=60)
+        run_exploitation_phase(env, agent, seed=4)
         assert agent.train_steps > 0
         assert any(
             not np.array_equal(agent.value_net.params[k], before[k]) for k in before
@@ -193,12 +202,10 @@ class TestExploitationPhase:
     def test_weathered_mission_still_reports_cleanly(self, phase_arch, small_world):
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
                             goal=GridCoord(8, 8))
-        config = AgentConfig(online_train_interval=25)
+        config = AgentConfig(online_train_interval=25, mission_step_budget=80)
         agent = Agent.new(config, seed=0, arch=phase_arch)
-        report, _ = run_exploitation_phase(
-            env, agent, seed=5,
-            weather=WeatherCondition(WeatherKind.FOG, 0.30), step_budget=80,
-        )
+        report, _ = run_exploitation_phase(env, agent, seed=5,
+                                           weather=WeatherCondition(WeatherKind.FOG, 0.30))
         assert report.weather_kind == "fog"
         assert report.weather_intensity == 0.30
         assert report.predictions + report.corrections + report.random == report.time_s
@@ -206,11 +213,11 @@ class TestExploitationPhase:
     def test_deterministic_under_a_fixed_seed(self, phase_arch, small_world):
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
                             goal=GridCoord(8, 8))
-        config = AgentConfig(online_train_interval=10)
+        config = AgentConfig(online_train_interval=10, mission_step_budget=100)
         reports = []
         for _ in range(2):
             agent = Agent.new(config, seed=0, arch=phase_arch)
-            report, _ = run_exploitation_phase(env, agent, seed=6, step_budget=100)
+            report, _ = run_exploitation_phase(env, agent, seed=6)
             reports.append(report)
         assert reports[0].route == reports[1].route
         assert reports[0].predictions == reports[1].predictions
@@ -222,20 +229,19 @@ class TestExploitationPhase:
                          obstacle_density=1.0, dynamic_count=3, seed=6)
         world = generate_world(spec, start=GridCoord(1, 1), goal=GridCoord(10, 10))
         env = NavigationEnv(world=world, start=GridCoord(1, 1), goal=GridCoord(10, 10))
-        config = AgentConfig(online_train_interval=30)
+        config = AgentConfig(online_train_interval=30, mission_step_budget=80)
         agent = Agent.new(config, seed=0, arch=phase_arch)
-        report, _ = run_exploitation_phase(env, agent, seed=7, step_budget=80)
+        report, _ = run_exploitation_phase(env, agent, seed=7)
         assert report.domain == "savanna"
         assert report.predictions + report.corrections + report.random == report.time_s
 
     def test_replay_buffer_threads_through(self, phase_arch, small_world):
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
                             goal=GridCoord(8, 8))
-        config = AgentConfig(online_train_interval=100)
+        config = AgentConfig(online_train_interval=100, mission_step_budget=30)
         agent = Agent.new(config, seed=0, arch=phase_arch)
         report, _ = run_exploitation_phase(env, agent, seed=8,
-                                           weather=WeatherCondition(WeatherKind.CLEAR, 0.0),
-                                           step_budget=30)
+                                           weather=WeatherCondition(WeatherKind.CLEAR, 0.0))
         assert len(agent.buffer) == report.time_s
 
 
@@ -253,10 +259,9 @@ def counted_renders(monkeypatch) -> list[int]:
 
 def fly(arch, world, seed, weather=WeatherCondition(WeatherKind.CLEAR, 0.0), budget=30):
     env = NavigationEnv(world=world, start=GridCoord(1, 1), goal=GridCoord(8, 8))
-    config = AgentConfig(online_train_interval=10, batch_size=8)
+    config = AgentConfig(online_train_interval=10, batch_size=8, mission_step_budget=budget)
     agent = Agent.new(config, seed=0, arch=arch)
-    report, _ = run_exploitation_phase(env, agent, seed=seed, weather=weather,
-                                       step_budget=budget)
+    report, _ = run_exploitation_phase(env, agent, seed=seed, weather=weather)
     return report, agent.buffer
 
 

@@ -14,8 +14,6 @@ from gridnav.world import (
     FOV_DEGREES,
     FRAME_SIZE,
     GenerationError,
-    Obstacle,
-    ObstacleColumns,
     SENSE_RANGE_M,
     VIEW_RANGE_M,
     WeatherCondition,
@@ -35,33 +33,35 @@ from gridnav.world import (
     world_to_dict,
 )
 
+from conftest import COLUMNS, Disc, discs_of, same_world, world_of
+
 
 def make_world(obstacles, width=20, height=20, domain=Domain.FOREST, dynamic=0):
     spec = WorldSpec(domain=domain, width_m=width, height_m=height,
                      obstacle_density=0.0, dynamic_count=dynamic, seed=0)
-    return World(spec=spec, obstacles=tuple(obstacles))
+    return world_of(spec, obstacles)
 
 
 def random_world(rng, width, height, count, max_radius=0.6, margin=2.0, movers=0):
     """Obstacles anywhere in the world and up to ``margin`` m beyond its edges."""
-    obstacles = [
-        Obstacle(x=float(rng.uniform(-margin, width + margin)),
-                 y=float(rng.uniform(-margin, height + margin)),
-                 radius=float(rng.uniform(0.1, max_radius)),
-                 vx=float(rng.uniform(-1.5, 1.5)) if i < movers else 0.0,
-                 vy=float(rng.uniform(-1.5, 1.5)) if i < movers else 0.0,
-                 shade=float(rng.uniform(0.0, 1.0)))
+    discs = [
+        Disc(x=float(rng.uniform(-margin, width + margin)),
+             y=float(rng.uniform(-margin, height + margin)),
+             radius=float(rng.uniform(0.1, max_radius)),
+             vx=float(rng.uniform(-1.5, 1.5)) if i < movers else 0.0,
+             vy=float(rng.uniform(-1.5, 1.5)) if i < movers else 0.0,
+             shade=float(rng.uniform(0.0, 1.0)))
         for i in range(count)
     ]
     domain = Domain.SAVANNA if movers else Domain.FOREST
-    return make_world(obstacles, width, height, domain=domain, dynamic=movers)
+    return make_world(discs, width, height, domain=domain, dynamic=movers)
 
 
 def all_obstacles_render(world, agent, facing, size=FRAME_SIZE):
     """Reference renderer: every ray against every obstacle of the world."""
     frame = np.repeat(
         np.linspace(1.0, 0.2, size, dtype=np.float32)[:, None], size, axis=1)
-    if not world.obstacles:
+    if not len(world):
         return frame
     ax, ay = cell_center(agent)
     fx, fy = {Action.NORTH: (0.0, -1.0), Action.SOUTH: (0.0, 1.0),
@@ -70,10 +70,9 @@ def all_obstacles_render(world, agent, facing, size=FRAME_SIZE):
     angles = -half_fov + 2.0 * half_fov * (np.arange(size) + 0.5) / size
     dirs_x = fx * np.cos(angles) - fy * np.sin(angles)
     dirs_y = fx * np.sin(angles) + fy * np.cos(angles)
-    ox = np.array([o.x for o in world.obstacles]) - ax
-    oy = np.array([o.y for o in world.obstacles]) - ay
-    radius = np.array([o.radius for o in world.obstacles])
-    shade = np.array([o.shade for o in world.obstacles])
+    ox = world.x - ax
+    oy = world.y - ay
+    radius, shade = world.radius, world.shade
     proj = dirs_x[:, None] * ox[None, :] + dirs_y[:, None] * oy[None, :]
     perp2 = (ox**2 + oy**2)[None, :] - proj**2
     disc = radius[None, :] ** 2 - perp2
@@ -95,10 +94,10 @@ def all_obstacles_render(world, agent, facing, size=FRAME_SIZE):
 
 
 def per_obstacle_occupied_cells(world):
-    """Reference: each obstacle's bounding-box cells, tested one by one."""
+    """Reference mask: each obstacle's bounding-box cells, tested one by one."""
     height, width = world.shape
-    cells = set()
-    for obs in world.obstacles:
+    cells = np.zeros(world.shape, dtype=bool)
+    for obs in discs_of(world):
         for r in range(max(0, math.floor(obs.y - obs.radius)),
                        min(height - 1, math.floor(obs.y + obs.radius)) + 1):
             for c in range(max(0, math.floor(obs.x - obs.radius)),
@@ -106,7 +105,7 @@ def per_obstacle_occupied_cells(world):
                 nx = min(max(obs.x, float(c)), float(c + 1))
                 ny = min(max(obs.y, float(r)), float(r + 1))
                 if (obs.x - nx) ** 2 + (obs.y - ny) ** 2 <= obs.radius**2:
-                    cells.add(GridCoord(r, c))
+                    cells[r, c] = True
     return cells
 
 
@@ -114,24 +113,24 @@ class TestGeneration:
     def test_zero_density_means_zero_obstacles(self):
         spec = WorldSpec(domain=Domain.FOREST, width_m=50, height_m=50,
                          obstacle_density=0.0, seed=1)
-        assert generate_world(spec).obstacles == ()
+        assert len(generate_world(spec)) == 0
 
     def test_same_seed_is_bit_identical(self):
         spec = WorldSpec(domain=Domain.FOREST, width_m=30, height_m=30,
                          obstacle_density=5.0, seed=42)
         a = generate_world(spec, start=GridCoord(1, 1), goal=GridCoord(28, 28))
         b = generate_world(spec, start=GridCoord(1, 1), goal=GridCoord(28, 28))
-        assert a == b
+        assert same_world(a, b)
 
     def test_forest_default_density_count_and_clear_endpoints(self):
         spec = WorldSpec(domain=Domain.FOREST, width_m=100, height_m=100, seed=7)
         start, goal = GridCoord(5, 5), GridCoord(90, 90)
         world = generate_world(spec, start=start, goal=goal)
         assert spec.density == DEFAULT_DENSITY[Domain.FOREST] == 12.0
-        assert len(world.obstacles) == 1200
+        assert len(world) == 1200
         occupied = occupied_cells(world)
-        assert start not in occupied
-        assert goal not in occupied
+        assert not occupied[start.row, start.col]
+        assert not occupied[goal.row, goal.col]
 
     def test_domain_default_densities_rank_forest_hardest(self):
         assert DEFAULT_DENSITY[Domain.FOREST] > DEFAULT_DENSITY[Domain.SAVANNA]
@@ -143,11 +142,12 @@ class TestGeneration:
             width, height = (int(v) for v in rng.integers(1, 40, size=2))
             world = random_world(rng, width, height, int(rng.integers(0, 120)),
                                  max_radius=float(rng.choice([0.6, 3.0])))
-            assert occupied_cells(world) == per_obstacle_occupied_cells(world), \
-                f"trial {trial}"
+            mask = occupied_cells(world)
+            assert mask.dtype == bool and mask.shape == (height, width), f"trial {trial}"
+            assert np.array_equal(mask, per_obstacle_occupied_cells(world)), f"trial {trial}"
         forest = generate_world(WorldSpec(domain=Domain.FOREST, width_m=60, height_m=60,
                                           seed=3))
-        assert occupied_cells(forest) == per_obstacle_occupied_cells(forest)
+        assert np.array_equal(occupied_cells(forest), per_obstacle_occupied_cells(forest))
 
     def test_impossible_clearance_raises(self):
         spec = WorldSpec(domain=Domain.FOREST, width_m=1, height_m=1,
@@ -161,7 +161,7 @@ class TestGeneration:
         spec = WorldSpec(domain=Domain.SAVANNA, width_m=30, height_m=30,
                          obstacle_density=1.0, dynamic_count=4, seed=9)
         world = generate_world(spec)
-        movers = [o for o in world.obstacles if o.vx or o.vy]
+        movers = [o for o in discs_of(world) if o.vx or o.vy]
         assert len(movers) == 4
         assert world.has_dynamics
 
@@ -184,49 +184,63 @@ class TestGeneration:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_one_mover_is_dynamics(self):
-        statics = [Obstacle(x=float(i), y=3.0) for i in range(1, 6)]
+        statics = [Disc(x=float(i), y=3.0) for i in range(1, 6)]
         assert not make_world(statics).has_dynamics
-        world = make_world([*statics, Obstacle(x=9.0, y=9.0, vy=-0.5)],
+        world = make_world([*statics, Disc(x=9.0, y=9.0, vy=-0.5)],
                            domain=Domain.SAVANNA, dynamic=1)
         assert world.has_dynamics
         assert step_dynamics(world, 1.0).has_dynamics
+
+    def test_columns_are_read_only_copies(self):
+        spec = WorldSpec(domain=Domain.SAVANNA, width_m=20, height_m=20,
+                         obstacle_density=1.0, dynamic_count=2, seed=4)
+        given = [np.array([3.0, 4.0]) for _ in COLUMNS]
+        built = World(spec, *given)
+        given[0][0] = 9.0
+        assert built.x.tolist() == [3.0, 4.0]
+        for world in (built, generate_world(spec), step_dynamics(generate_world(spec), 1.0)):
+            for name in COLUMNS:
+                column = getattr(world, name)
+                assert column.dtype == np.float64 and column.shape == (len(world),)
+                with pytest.raises(ValueError):
+                    column[0] = 1.0
 
 
 class TestSensing:
     def test_obstacle_just_north_blocks_north_neighbour(self):
         agent = GridCoord(10, 10)
         ax, ay = cell_center(agent)
-        world = make_world([Obstacle(x=ax, y=ay - 0.8)])
+        world = make_world([Disc(x=ax, y=ay - 0.8)])
         assert sense_obstacles(world, agent) == {GridCoord(9, 10)}
 
     def test_far_obstacle_is_ignored(self):
         agent = GridCoord(10, 10)
         ax, ay = cell_center(agent)
-        world = make_world([Obstacle(x=ax, y=ay - 1.5)])
+        world = make_world([Disc(x=ax, y=ay - 1.5)])
         assert sense_obstacles(world, agent) == set()
 
     def test_flanking_obstacles_block_both_sides(self):
         agent = GridCoord(10, 10)
         ax, ay = cell_center(agent)
-        world = make_world([Obstacle(x=ax + 0.9, y=ay), Obstacle(x=ax - 0.9, y=ay)])
+        world = make_world([Disc(x=ax + 0.9, y=ay), Disc(x=ax - 0.9, y=ay)])
         assert sense_obstacles(world, agent) == {GridCoord(10, 11), GridCoord(10, 9)}
 
     def test_matches_exhaustive_oracle_on_random_worlds(self):
         rng = np.random.default_rng(4)
         for trial in range(40):
-            obstacles = [
-                Obstacle(x=float(rng.uniform(0, 20)), y=float(rng.uniform(0, 20)),
-                         radius=float(rng.uniform(0.1, 0.6)))
+            discs = [
+                Disc(x=float(rng.uniform(0, 20)), y=float(rng.uniform(0, 20)),
+                     radius=float(rng.uniform(0.1, 0.6)))
                 for _ in range(rng.integers(1, 25))
             ]
-            world = make_world(obstacles)
+            world = make_world(discs)
             agent = GridCoord(int(rng.integers(1, 19)), int(rng.integers(1, 19)))
             ax, ay = cell_center(agent)
 
             expected = set()
             for dr, dc in ((-1, 0), (1, 0), (0, 1), (0, -1)):
                 cell = GridCoord(agent.row + dr, agent.col + dc)
-                for obs in obstacles:
+                for obs in discs:
                     within = math.hypot(obs.x - ax, obs.y - ay) - obs.radius < SENSE_RANGE_M
                     nx = min(max(obs.x, cell.col), cell.col + 1)
                     ny = min(max(obs.y, cell.row), cell.row + 1)
@@ -250,16 +264,16 @@ class TestRenderer:
         agent = GridCoord(10, 10)
         ax, ay = cell_center(agent)
         empty = render_frame(make_world([]), agent, Action.NORTH)
-        cluttered = render_frame(make_world([Obstacle(x=ax, y=ay - 2.0)]), agent,
+        cluttered = render_frame(make_world([Disc(x=ax, y=ay - 2.0)]), agent,
                                  Action.NORTH)
         assert cluttered.mean() < empty.mean()
 
     def test_closer_obstacles_are_darker_and_taller(self):
         agent = GridCoord(10, 10)
         ax, ay = cell_center(agent)
-        near = render_frame(make_world([Obstacle(x=ax, y=ay - 2.0, shade=1.0)]),
+        near = render_frame(make_world([Disc(x=ax, y=ay - 2.0, shade=1.0)]),
                             agent, Action.NORTH)
-        far = render_frame(make_world([Obstacle(x=ax, y=ay - 8.0, shade=1.0)]),
+        far = render_frame(make_world([Disc(x=ax, y=ay - 8.0, shade=1.0)]),
                            agent, Action.NORTH)
         assert near.min() < far.min()
         assert (near < 0).sum() > (far < 0).sum()
@@ -276,7 +290,7 @@ class TestRenderer:
     def test_facing_changes_the_view(self):
         agent = GridCoord(10, 10)
         ax, ay = cell_center(agent)
-        world = make_world([Obstacle(x=ax, y=ay - 2.0)])
+        world = make_world([Disc(x=ax, y=ay - 2.0)])
         north = render_frame(world, agent, Action.NORTH)
         south = render_frame(world, agent, Action.SOUTH)
         assert not np.array_equal(north, south)
@@ -300,8 +314,8 @@ class TestRenderer:
     def test_view_without_obstacles_in_range_is_the_background(self):
         agent = GridCoord(30, 30)
         ax, ay = cell_center(agent)
-        world = make_world([Obstacle(x=ax, y=ay - 20.5), Obstacle(x=ax + 21.0, y=ay + 3.0),
-                            Obstacle(x=ax - 40.0, y=ay)], width=80, height=80)
+        world = make_world([Disc(x=ax, y=ay - 20.5), Disc(x=ax + 21.0, y=ay + 3.0),
+                            Disc(x=ax - 40.0, y=ay)], width=80, height=80)
         for facing in Action:
             frame = render_frame(world, agent, facing)
             assert frame.tobytes() == render_frame(make_world([]), agent, facing).tobytes()
@@ -312,9 +326,6 @@ class TestRenderer:
         world = random_world(rng, 40, 40, 150, movers=30)
         for step in range(20):
             world = step_dynamics(world, 1.0)
-            # the view the step carried over equals one built from the obstacles
-            for carried, rebuilt in zip(world.columns, ObstacleColumns.of(world.obstacles)):
-                assert carried.tobytes() == rebuilt.tobytes()
             agent = GridCoord(int(rng.integers(0, 40)), int(rng.integers(0, 40)))
             facing = Action(step % 4)
             assert render_frame(world, agent, facing).tobytes() == \
@@ -417,22 +428,30 @@ class TestWeather:
 
 class TestDynamics:
     def test_static_world_unchanged(self):
-        world = make_world([Obstacle(x=3.0, y=3.0)])
+        world = make_world([Disc(x=3.0, y=3.0)])
         assert step_dynamics(world, 1.0) is world
 
     def test_mover_advances_linearly(self):
-        world = make_world([Obstacle(x=10.0, y=10.0, vx=1.0, vy=0.0)],
+        world = make_world([Disc(x=10.0, y=10.0, vx=1.0, vy=0.0)],
                            domain=Domain.SAVANNA, dynamic=1)
         stepped = step_dynamics(world, 1.0)
-        assert stepped.obstacles[0].x == pytest.approx(11.0)
-        assert stepped.obstacles[0].y == pytest.approx(10.0)
+        assert stepped.x[0] == pytest.approx(11.0)
+        assert stepped.y[0] == pytest.approx(10.0)
 
     def test_reflection_at_boundary(self):
-        world = make_world([Obstacle(x=19.5, y=10.0, vx=1.0, vy=0.0)],
+        world = make_world([Disc(x=19.5, y=10.0, vx=1.0, vy=0.0)],
                            domain=Domain.SAVANNA, dynamic=1)
         stepped = step_dynamics(world, 1.0)
-        assert stepped.obstacles[0].x == pytest.approx(19.5)
-        assert stepped.obstacles[0].vx == pytest.approx(-1.0)
+        assert stepped.x[0] == pytest.approx(19.5)
+        assert stepped.vx[0] == pytest.approx(-1.0)
+
+    def test_a_step_leaves_its_input_world_unchanged(self):
+        world = random_world(np.random.default_rng(7), 20, 20, 40, movers=10)
+        before = {name: getattr(world, name).copy() for name in COLUMNS}
+        stepped = step_dynamics(world, 1.0)
+        assert not np.array_equal(stepped.x, world.x)
+        for name in COLUMNS:
+            assert getattr(world, name).tobytes() == before[name].tobytes(), name
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
@@ -446,16 +465,15 @@ class TestSerialization:
         world = generate_world(spec)
         path = tmp_path / "world.json"
         save_world(world, path)
-        assert load_world(path) == world
+        assert same_world(load_world(path), world)
 
     def test_dict_round_trip_preserves_fields(self):
-        world = make_world([Obstacle(x=1.5, y=2.5, radius=0.4, vx=0.1, vy=-0.2,
-                                     shade=0.7)])
-        assert world_from_dict(world_to_dict(world)) == world
+        world = make_world([Disc(x=1.5, y=2.5, radius=0.4, vx=0.1, vy=-0.2, shade=0.7)])
+        assert same_world(world_from_dict(world_to_dict(world)), world)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
 def test_generation_is_a_pure_function_of_the_seed(seed):
     spec = WorldSpec(domain=Domain.PLAIN, width_m=20, height_m=20, seed=seed)
-    assert generate_world(spec) == generate_world(spec)
+    assert same_world(generate_world(spec), generate_world(spec))
