@@ -1,11 +1,15 @@
 """Dual-map grid representation: egocentric decision map and mission-wide map.
 
 The navigation stack plans on two grids.  A 10x10 *decision map* is spawned
-around the agent and carries the local picture (free / visited / blocked
-cells, the agent itself, and the target cell that steers it toward the
-mission goal).  A *global map* the size of the search area accumulates
-everything the decision maps learned.  One grid cell is one square metre
-and the agent moves exactly one cell per step.
+around the agent and carries the local picture: what it has learned about
+each cell (free, visited or blocked), plus the agent's cell and the target
+cell that steers it toward the mission goal.  A *global map* the size of
+the search area accumulates everything the decision maps learned.  One grid
+cell is one square metre and the agent moves exactly one cell per step.
+
+A map's ``cells`` hold only learned states; the agent and the target live
+only in the decision map's ``agent_local`` and ``target_cell`` fields, and
+only :func:`render_decision_map` draws them into the raster.
 
 All operations here are value-level: they return new map objects and never
 mutate their inputs, so maps can be shared freely across threads.
@@ -48,11 +52,12 @@ class GridCoord(NamedTuple):
 
 
 class CellState(IntEnum):
+    """What a map has learned about a cell, in merge precedence order: a
+    visited cell upgrades a free one and a blocked cell absorbs both."""
+
     FREE = 0
     VISITED = 1
     BLOCKED = 2
-    CURRENT = 3
-    TARGET = 4
 
 
 #: JSON names for each cell state (and the reverse lookup).
@@ -60,8 +65,6 @@ CELL_STATE_NAMES = {
     CellState.FREE: "free",
     CellState.VISITED: "visited",
     CellState.BLOCKED: "blocked",
-    CellState.CURRENT: "current",
-    CellState.TARGET: "target",
 }
 CELL_STATE_FROM_NAME = {name: state for state, name in CELL_STATE_NAMES.items()}
 
@@ -91,15 +94,11 @@ class ConstraintClass(Enum):
     NONE = "none"
 
 
-#: Decision-map raster coding.  Symmetric in [-1, 1] with obstacles most
-#: negative so that "more traversable" reads as "brighter".
-RASTER_CODING = {
-    CellState.FREE: 1.0,
-    CellState.TARGET: 0.5,
-    CellState.VISITED: 0.0,
-    CellState.CURRENT: -0.5,
-    CellState.BLOCKED: -1.0,
-}
+#: Decision-map raster coding, indexed by :class:`CellState` (free 1.0,
+#: visited 0.0, blocked -1.0); the target cell is drawn as 0.5 and the agent
+#: as -0.5.  Symmetric in [-1, 1] with obstacles most negative so that "more
+#: traversable" reads as "brighter".
+_RASTER_CODES = np.array([1.0, 0.0, -1.0], dtype=np.float32)
 
 #: Local coordinates of the 36-cell boundary ring, in row-major order so a
 #: first-minimum scan implements the row-major tie-break.
@@ -127,10 +126,11 @@ class LocalMap:
     """10x10 egocentric decision map.
 
     ``cells`` is a read-only (10, 10) int8 array of :class:`CellState`
-    values.  ``origin_global`` is the global coordinate of local cell
-    (0, 0); ``world_shape`` is the (height, width) of the search area so
-    that clipped border cells can be told apart from sensed obstacles.
-    ``target_cell`` is in local coordinates.
+    values: what the map has learned, never the agent or the target, which
+    live only in ``agent_local`` and ``target_cell`` (local coordinates).
+    ``origin_global`` is the global coordinate of local cell (0, 0);
+    ``world_shape`` is the (height, width) of the search area so that
+    clipped border cells can be told apart from sensed obstacles.
     """
 
     cells: np.ndarray
@@ -153,20 +153,18 @@ class LocalMap:
 
 @dataclass(frozen=True)
 class GlobalMap:
-    """Search-area map accumulating knowledge from completed decision maps."""
+    """Search-area map accumulating knowledge from completed decision maps.
 
-    width: int
-    height: int
+    ``cells`` is a read-only (height, width) int8 array of the
+    :class:`CellState` each decision map learned; it never holds the agent.
+    """
+
     cells: np.ndarray
     start: GridCoord
     goal: GridCoord
 
     def __post_init__(self) -> None:
         self.cells.flags.writeable = False
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.height, self.width)
 
 
 def new_global_map(width: int, height: int, start: GridCoord, goal: GridCoord) -> GlobalMap:
@@ -175,7 +173,7 @@ def new_global_map(width: int, height: int, start: GridCoord, goal: GridCoord) -
     if not (0 <= goal.row < height and 0 <= goal.col < width):
         raise ValueError(f"goal {goal} outside {height}x{width} map")
     cells = np.zeros((height, width), dtype=np.int8)
-    return GlobalMap(width=width, height=height, cells=cells, start=start, goal=goal)
+    return GlobalMap(cells=cells, start=start, goal=goal)
 
 
 def local_to_global(local: LocalMap, coord: GridCoord) -> GridCoord:
@@ -197,9 +195,9 @@ def spawn_local_map(
 ) -> LocalMap:
     """Spawn a fresh decision map centred on the agent.
 
-    All cells start free except the agent cell; window cells that fall
-    outside the search area are blocked so the hard-constraint machinery
-    keeps the agent inside.  The target cell is selected toward the goal.
+    All cells start free; window cells that fall outside the search area
+    are blocked so the hard-constraint machinery keeps the agent inside.
+    The target cell is selected toward the goal.
     """
     height, width = world_shape
     if not (0 <= agent_global.row < height and 0 <= agent_global.col < width):
@@ -212,20 +210,11 @@ def spawn_local_map(
     cols = origin.col + np.arange(LOCAL_SIZE)
     outside = ((rows < 0) | (rows >= height))[:, None] | ((cols < 0) | (cols >= width))[None, :]
     cells[outside] = CellState.BLOCKED
-    cells[LOCAL_CENTER_ROW, LOCAL_CENTER_COL] = CellState.CURRENT
 
-    local = LocalMap(
-        cells=cells,
-        agent_local=GridCoord(LOCAL_CENTER_ROW, LOCAL_CENTER_COL),
-        origin_global=origin,
-        target_cell=GridCoord(LOCAL_CENTER_ROW, LOCAL_CENTER_COL),
-        world_shape=world_shape,
-    )
-    target = select_target_cell(local, goal_global)
-    cells = cells.copy()
-    if target != local.agent_local:
-        cells[target] = CellState.TARGET
-    return replace(local, cells=cells, target_cell=target)
+    center = GridCoord(LOCAL_CENTER_ROW, LOCAL_CENTER_COL)
+    local = LocalMap(cells=cells, agent_local=center, origin_global=origin,
+                     target_cell=center, world_shape=world_shape)
+    return retarget(local, goal_global)
 
 
 def select_target_cell(local: LocalMap, goal_global: GridCoord) -> GridCoord:
@@ -282,14 +271,13 @@ def action_destination(local: LocalMap, action: Action) -> GridCoord:
 
 
 def apply_move(local: LocalMap, action: Action) -> LocalMap:
-    """Execute a permitted move: the old cell becomes visited, the new current."""
+    """Execute a permitted move: the cell the agent leaves becomes visited."""
     if classify_action(local, action) == ConstraintClass.HARD:
         raise HardConstraintError(f"{action.name} is hard-constrained from {local.agent_local}")
     dr, dc = ACTION_DELTAS[action]
     dest = GridCoord(local.agent_local.row + dr, local.agent_local.col + dc)
     cells = local.cells.copy()
     cells[local.agent_local] = CellState.VISITED
-    cells[dest] = CellState.CURRENT
     return replace(local, cells=cells, agent_local=dest)
 
 
@@ -310,15 +298,7 @@ def mark_blocked(local: LocalMap, blocked_global: Iterable[GridCoord]) -> LocalM
 
 def retarget(local: LocalMap, goal_global: GridCoord) -> LocalMap:
     """Re-select the target cell (used when sensing blocked the current one)."""
-    target = select_target_cell(local, goal_global)
-    if target == local.target_cell:
-        return local
-    cells = local.cells.copy()
-    if CellState(cells[local.target_cell]) == CellState.TARGET:
-        cells[local.target_cell] = CellState.FREE
-    if target != local.agent_local and CellState(cells[target]) == CellState.FREE:
-        cells[target] = CellState.TARGET
-    return replace(local, cells=cells, target_cell=target)
+    return replace(local, target_cell=select_target_cell(local, goal_global))
 
 
 def reward(outcome_cell_global: GridCoord, local: LocalMap, goal_global: GridCoord) -> float:
@@ -337,48 +317,44 @@ def reward(outcome_cell_global: GridCoord, local: LocalMap, goal_global: GridCoo
     inside_world = 0 <= outcome_cell_global.row < height and 0 <= outcome_cell_global.col < width
     if not in_local_bounds(loc) or not inside_world:
         return REWARD_INVALID
-    state = CellState(local.cells[loc])
+    state = local.cells[loc]
     if state == CellState.BLOCKED:
         return REWARD_BLOCKED
     if state == CellState.VISITED:
         return REWARD_VISITED
-    if state in (CellState.FREE, CellState.TARGET, CellState.CURRENT):
-        return REWARD_VALID
-    return REWARD_INVALID
+    return REWARD_VALID
 
 
 def merge_into_global(global_map: GlobalMap, local: LocalMap) -> GlobalMap:
     """Write the decision map's visited and blocked cells into the big map.
 
+    Each cell takes the higher :class:`CellState` of the two maps, so a
+    blocked cell is never downgraded and a visited one upgrades a free one.
     Cells outside the global bounds (the clipped border padding) are
-    ignored, and a blocked cell in the global map is never downgraded.
+    ignored, and so is the agent's own cell until the agent leaves it.
     """
+    learned = local.cells.copy()
+    learned[local.agent_local] = CellState.FREE
+    height, width = global_map.cells.shape
+    r0, c0 = local.origin_global
+    top, left = max(r0, 0), max(c0, 0)
+    bottom, right = min(r0 + LOCAL_SIZE, height), min(c0 + LOCAL_SIZE, width)
     cells = global_map.cells.copy()
-    height, width = global_map.height, global_map.width
-    for r in range(LOCAL_SIZE):
-        gr = local.origin_global.row + r
-        if not 0 <= gr < height:
-            continue
-        for c in range(LOCAL_SIZE):
-            gc = local.origin_global.col + c
-            if not 0 <= gc < width:
-                continue
-            state = CellState(local.cells[r, c])
-            if cells[gr, gc] == CellState.BLOCKED:
-                continue
-            if state == CellState.VISITED:
-                cells[gr, gc] = CellState.VISITED
-            elif state == CellState.BLOCKED:
-                cells[gr, gc] = CellState.BLOCKED
+    window = cells[top:bottom, left:right]
+    np.maximum(window, learned[top - r0:bottom - r0, left - c0:right - c0], out=window)
     return replace(global_map, cells=cells)
 
 
 def render_decision_map(local: LocalMap) -> np.ndarray:
-    """Row-major 100-vector of the map raster coding, in [-1, 1]."""
-    lut = np.empty(len(CellState), dtype=np.float32)
-    for state, value in RASTER_CODING.items():
-        lut[state] = value
-    return lut[local.cells.reshape(-1)]
+    """Row-major 100-vector of the map raster coding, in [-1, 1].
+
+    The agent is drawn last, so it shows even when it stands on the target.
+    """
+    raster = _RASTER_CODES[local.cells]
+    if local.cells[local.target_cell] == CellState.FREE:
+        raster[local.target_cell] = 0.5
+    raster[local.agent_local] = -0.5
+    return raster.reshape(-1)
 
 
 def global_map_to_dict(global_map: GlobalMap) -> dict:
@@ -394,8 +370,8 @@ def global_map_to_dict(global_map: GlobalMap) -> dict:
             }
         )
     return {
-        "width": global_map.width,
-        "height": global_map.height,
+        "width": global_map.cells.shape[1],
+        "height": global_map.cells.shape[0],
         "start": [global_map.start.row, global_map.start.col],
         "goal": [global_map.goal.row, global_map.goal.col],
         "cells": cells,

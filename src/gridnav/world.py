@@ -420,7 +420,7 @@ def world_to_dict(world: World) -> dict:
 
 def world_from_dict(doc: dict) -> World:
     """The world :func:`world_to_dict` wrote; raises ValueError naming a
-    missing key."""
+    missing key or a value of the wrong type."""
     try:
         sd = doc["spec"]
         spec = WorldSpec(
@@ -435,6 +435,8 @@ def world_from_dict(doc: dict) -> World:
                  float(o.get("vx", 0.0)), float(o.get("vy", 0.0))) for o in doc["obstacles"]]
     except KeyError as exc:
         raise ValueError(f"missing key {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"not a world document: {exc}") from exc
     return World(spec, *np.array(rows, dtype=np.float64).reshape(-1, 6).T)
 
 

@@ -359,8 +359,7 @@ def replay_route_and_verify(report, world, start, goal):
             f"move {here} -> {there} entered a hard-constrained cell"
         )
         dest_local = global_to_local(local, there)
-        assert local.cells[dest_local] in (CellState.FREE, CellState.VISITED,
-                                           CellState.TARGET)
+        assert local.cells[dest_local] in (CellState.FREE, CellState.VISITED)
         local = apply_move(local, action)
         local = mark_blocked(local, sense_obstacles(world, there))
         if local.cells[local.target_cell] == CellState.BLOCKED:

@@ -234,7 +234,17 @@ class TestTrain:
          "missing key 'x'"),
         (json.dumps({**SMALL_WORLD_DOC, "spec": {**SMALL_WORLD_DOC["spec"], "width_m": 0}}),
          "world dimensions must be positive"),
-    ], ids=["missing-file", "not-json", "obstacle-without-x", "zero-width"])
+        ("[]", "not a world document"),
+        (json.dumps({**SMALL_WORLD_DOC, "obstacles": [3]}), "not a world document"),
+        (json.dumps({**SMALL_WORLD_DOC, "obstacles": {"x": 1}}), "not a world document"),
+        (json.dumps({**SMALL_WORLD_DOC, "spec": [1]}), "not a world document"),
+        (json.dumps({**SMALL_WORLD_DOC, "obstacles": [{"x": None, "y": 3.5, "r": 0.3}]}),
+         "not a world document"),
+        (json.dumps({**SMALL_WORLD_DOC, "spec": {**SMALL_WORLD_DOC["spec"], "width_m": None}}),
+         "not a world document"),
+    ], ids=["missing-file", "not-json", "obstacle-without-x", "zero-width", "json-list",
+            "obstacle-not-object", "obstacles-not-list", "spec-not-object", "null-x",
+            "null-width"])
     def test_bad_world_file_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "world.json"
         if text is not None:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gridnav.mapping import (
     ACTION_DELTAS,
     BOUNDARY_RING,
     Action,
+    BoxedInError,
     CellState,
     ConstraintClass,
     GridCoord,
@@ -76,14 +78,16 @@ class TestSpawn:
     def test_goal_inside_window_becomes_target(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(52, 53), WORLD)
         assert local.target_cell == GridCoord(7, 8)
-        assert local.cells[7, 8] == CellState.TARGET
+        assert render_decision_map(local)[7 * LOCAL_SIZE + 8] == 0.5
 
     def test_fresh_map_is_free_except_agent_and_target(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
-        states = np.asarray(local.cells)
-        assert (states == CellState.CURRENT).sum() == 1
-        assert (states == CellState.TARGET).sum() == 1
-        assert (states == CellState.FREE).sum() == LOCAL_SIZE * LOCAL_SIZE - 2
+        # cells hold only what was learned; the raster draws agent and target
+        assert (np.asarray(local.cells) == CellState.FREE).all()
+        raster = render_decision_map(local)
+        assert (raster == -0.5).sum() == 1
+        assert (raster == 0.5).sum() == 1
+        assert (raster == 1.0).sum() == LOCAL_SIZE * LOCAL_SIZE - 2
 
     def test_agent_outside_world_rejected(self):
         with pytest.raises(ValueError):
@@ -145,14 +149,17 @@ class TestClassifyAndMove:
         moved = apply_move(local, Action.NORTH)
         assert moved.agent_local == GridCoord(4, 5)
         assert moved.cells[5, 5] == CellState.VISITED
-        assert moved.cells[4, 5] == CellState.CURRENT
+        assert moved.cells[4, 5] == CellState.FREE
+        assert render_decision_map(moved)[4 * LOCAL_SIZE + 5] == -0.5
         # value semantics: the source map is untouched
-        assert local.cells[5, 5] == CellState.CURRENT
+        assert local.agent_local == GridCoord(5, 5)
+        assert local.cells[5, 5] == CellState.FREE
+        assert render_decision_map(local)[5 * LOCAL_SIZE + 5] == -0.5
 
     def test_move_changes_exactly_two_cells(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
         moved = apply_move(local, Action.EAST)
-        diff = np.argwhere(np.asarray(local.cells) != np.asarray(moved.cells))
+        diff = np.flatnonzero(render_decision_map(local) != render_decision_map(moved))
         assert len(diff) == 2
 
     def test_soft_move_is_permitted(self):
@@ -278,14 +285,40 @@ class TestDecisionMapRaster:
             assert set(np.unique(raster)) <= {-1.0, -0.5, 0.0, 0.5, 1.0}
 
 
-@given(st.lists(st.sampled_from(list(ACTIONS)), min_size=1, max_size=40))
+_WALK_STEPS = st.one_of(
+    st.sampled_from(list(ACTIONS)),
+    st.tuples(st.just("block"), st.integers(44, 56), st.integers(44, 56)),
+    st.tuples(st.just("retarget"), st.integers(40, 60), st.integers(40, 60)),
+    st.just("retarget-here"),  # the agent stands on its target
+)
+
+
+@given(st.lists(_WALK_STEPS, min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)
-def test_exactly_one_current_cell_through_any_walk(actions):
+def test_exactly_one_current_cell_through_any_walk(steps):
+    """Through moves, sensed obstacles and retargets the raster shows the
+    agent exactly once, at ``agent_local``, and the target exactly where
+    ``target_cell`` is a free cell the agent does not stand on."""
     local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
-    for action in actions:
-        if classify_action(local, action) != ConstraintClass.HARD:
-            local = apply_move(local, action)
-        assert (np.asarray(local.cells) == CellState.CURRENT).sum() == 1
+    for step in steps:
+        if step in ACTIONS:
+            if classify_action(local, step) != ConstraintClass.HARD:
+                local = apply_move(local, step)
+        elif step == "retarget-here":
+            local = retarget(local, local.agent_global)
+        elif step[0] == "block":
+            local = mark_blocked(local, [GridCoord(step[1], step[2])])
+        else:
+            try:
+                local = retarget(local, GridCoord(step[1], step[2]))
+            except BoxedInError:
+                pass
+        raster = render_decision_map(local).reshape(LOCAL_SIZE, LOCAL_SIZE)
+        assert [tuple(c) for c in np.argwhere(raster == -0.5)] == [local.agent_local]
+        target_drawn = (local.target_cell != local.agent_local
+                        and local.cells[local.target_cell] == CellState.FREE)
+        expected = [local.target_cell] if target_drawn else []
+        assert [tuple(c) for c in np.argwhere(raster == 0.5)] == expected
 
 
 @given(st.lists(st.tuples(st.integers(45, 56), st.integers(45, 56)), max_size=15),
@@ -306,6 +339,57 @@ def test_blocked_is_absorbing(blocked_cells, actions):
         tuple(c) for c in np.argwhere(np.asarray(local.cells) == CellState.BLOCKED)
     }
     assert blocked_before <= blocked_after
+
+
+def reference_merge(global_map, local):
+    """Independent oracle: the per-cell merge rule, skipping the agent's
+    cell and every cell outside the global bounds."""
+    cells = np.asarray(global_map.cells).copy()
+    height, width = cells.shape
+    for r in range(LOCAL_SIZE):
+        for c in range(LOCAL_SIZE):
+            gr, gc = local.origin_global.row + r, local.origin_global.col + c
+            if (r, c) == local.agent_local or not (0 <= gr < height and 0 <= gc < width):
+                continue
+            state = local.cells[r, c]
+            if cells[gr, gc] == CellState.BLOCKED:
+                continue
+            if state == CellState.VISITED:
+                cells[gr, gc] = CellState.VISITED
+            elif state == CellState.BLOCKED:
+                cells[gr, gc] = CellState.BLOCKED
+    return cells
+
+
+@pytest.mark.parametrize("start", [(0, 0), (0, 13), (11, 0), (11, 13), (1, 7), (10, 6),
+                                   (6, 1), (5, 12), (6, 7)],
+                         ids=["nw", "ne", "sw", "se", "north", "south", "west", "east",
+                              "inside"])
+def test_merge_matches_per_cell_oracle_on_random_walks(start):
+    """A 10x10 window on a 12x14 world is nearly always clipped: the starts
+    put it against each of the four borders and corners, and the walks move
+    it from there."""
+    world = (12, 14)
+    rng = np.random.default_rng(sum(start))
+    for _ in range(20):
+        gmap = new_global_map(world[1], world[0], GridCoord(*start), GridCoord(0, 0))
+        prior = rng.choice(list(CellState), size=world, p=[0.6, 0.25, 0.15])
+        gmap = replace(gmap, cells=prior.astype(np.int8))
+        goal = GridCoord(int(rng.integers(world[0])), int(rng.integers(world[1])))
+        local = spawn_local_map(GridCoord(*start), goal, world)
+        for _ in range(30):
+            blocked = [GridCoord(int(r), int(c))
+                       for r, c in rng.integers(-2, 16, size=(int(rng.integers(3)), 2))]
+            local = mark_blocked(local, blocked)
+            moves = [a for a in ACTIONS if classify_action(local, a) != ConstraintClass.HARD]
+            if moves:
+                local = apply_move(local, moves[int(rng.integers(len(moves)))])
+            merged = merge_into_global(gmap, local)
+            assert np.array_equal(np.asarray(merged.cells), reference_merge(gmap, local))
+            # keep some merges, as a mission does when it respawns, so later
+            # windows meet their own earlier marks as well as the prior
+            if rng.random() < 0.2:
+                gmap = merged
 
 
 class TestGlobalMapJson:
