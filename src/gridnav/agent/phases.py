@@ -34,15 +34,12 @@ from ..mapping import (
     BoxedInError,
     CellState,
     ConstraintClass,
-    GlobalMap,
     GridCoord,
     LocalMap,
     action_destination,
     apply_move,
     classify_action,
     mark_blocked,
-    new_global_map,
-    merge_into_global,
     render_decision_map,
     retarget,
     reward,
@@ -367,21 +364,24 @@ def run_exploitation_phase(
     agent: Agent,
     seed: int,
     weather: WeatherCondition = CLEAR,
-) -> tuple[MissionReport, GlobalMap]:
+) -> MissionReport:
     """Fly one continuous mission with ``agent``, learning online in place;
-    returns the mission report and the global map.
+    returns the mission report.
 
     The agent senses obstacles every step, corrects unsafe predictions
-    toward the target cell, merges each completed decision map into the
-    global map, and keeps running mini-batch updates as it flies.  The
-    mission ends on reaching the goal, exhausting the step budget, or
-    getting boxed in (reported as a failure with partial metrics).
+    toward the target cell, spawns a fresh decision map each time it
+    reaches one, and keeps running mini-batch updates as it flies.  The
+    report is the mission's one record of what it flew and sensed: its
+    ``route`` holds the agent's cell at the start and after every step,
+    and its ``obstacles`` counts the distinct obstacle cells sensed along
+    that route.  The mission ends on reaching the goal, exhausting the step
+    budget, or getting boxed in (reported as a failure with partial
+    metrics).
     """
     rng = np.random.default_rng(seed)
     config = agent.config
     world = env.world
     frame_size = agent.value_net.arch.frame_size
-    global_map = new_global_map(world.shape[1], world.shape[0], env.start, env.goal)
 
     def observe(world: World, cell: GridCoord, facing: Action, step: int) -> np.ndarray:
         """The weathered frame of ``world`` seen at the start of decision ``step``."""
@@ -419,7 +419,6 @@ def run_exploitation_phase(
         route.append(state.agent)
 
         if state.at_target:
-            global_map = merge_into_global(global_map, state.local)
             episode_id += 1
             if state.agent != env.goal:
                 local, sensed = _spawn(state.agent, world, env.goal)
@@ -429,7 +428,7 @@ def run_exploitation_phase(
         world = next_world
         agent.update_every(steps, config.online_train_interval, rng)
 
-    report = MissionReport(
+    return MissionReport(
         completed=state.agent == env.goal,
         distance_m=math.dist(env.start, env.goal),
         time_s=steps,
@@ -443,4 +442,3 @@ def run_exploitation_phase(
         weather_kind=weather.kind.value,
         weather_intensity=weather.intensity,
     )
-    return report, global_map

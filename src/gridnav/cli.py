@@ -259,20 +259,18 @@ def _parse_mission_list(config: RunConfig) -> list[MissionSpec]:
     for i, entry in enumerate(entries):
         try:
             start_s, goal_s = entry.split(":")
-            start = GridCoord(*(int(v) for v in start_s.split(",")))
-            goal = GridCoord(*(int(v) for v in goal_s.split(",")))
-        except ValueError as exc:
-            raise ValueError(f"bad mission entry {entry!r}: {exc}") from exc
-        specs.append(
-            MissionSpec(
-                world=config.world_spec(),
-                start=start,
-                goal=goal,
-                weather=weather,
-                seed=config.seed + i,
-                name=f"M{i + 1}",
+            specs.append(
+                MissionSpec(
+                    world=config.world_spec(),
+                    start=GridCoord(*(int(v) for v in start_s.split(","))),
+                    goal=GridCoord(*(int(v) for v in goal_s.split(","))),
+                    weather=weather,
+                    seed=config.seed + i,
+                    name=f"M{i + 1}",
+                )
             )
-        )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad mission entry {entry!r}: {exc}") from exc
     return specs
 
 

@@ -1,6 +1,6 @@
 """Evaluation harness: missions, test sequences, decay experiment, reports."""
 
-from .decay import decay_experiment, decay_fixed_point
+from .decay import decay_experiment
 from .missions import (
     MissionSpec,
     TEST_SEQUENCE,
@@ -29,7 +29,6 @@ __all__ = [
     "TEST_SEQUENCE",
     "build_test_sequence",
     "decay_experiment",
-    "decay_fixed_point",
     "decay_results_to_csv",
     "emit_report",
     "mission_reports_to_csv",

@@ -1,9 +1,9 @@
 """Scalar Q-value decay under repeated replay of one transition.
 
-Strips the networks away and iterates the raw update recurrence on a
-population of scalar Q-states whose own value feeds their bootstrap term
-(what happens when the same transition is drawn from a small replay buffer
-over and over):
+Strips the networks away and runs the shipped update rule's targets
+(``agent.learning.td_targets``) on a population of scalar Q-states whose
+own value feeds their bootstrap term (what happens when the same transition
+is drawn from a small replay buffer over and over):
 
     additive rule:     q <- q + a * ((r + g * q) - q)
     subtractive rule:  q <- q + a * ((r - g * q) - q)
@@ -20,20 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..agent.config import UpdateRule
+from ..agent.learning import td_targets
 from .reports import DecayExperimentResult
 
 DEFAULT_POPULATION = 100
 DEFAULT_REWARD = -0.04
 DEFAULT_GAMMA = 0.95
 DEFAULT_ALPHA = 0.5
-
-
-def decay_fixed_point(rule: UpdateRule, reward: float = DEFAULT_REWARD,
-                      gamma: float = DEFAULT_GAMMA) -> float:
-    """Limit of the recurrence; the subtractive rule divides by (1 + g)."""
-    if rule == UpdateRule.EDDQN:
-        return reward / (1.0 + gamma)
-    return reward / (1.0 - gamma)
 
 
 def decay_experiment(
@@ -55,7 +48,11 @@ def decay_experiment(
     if population < 1:
         raise ValueError("population must be positive")
     q = np.full(population, reward, dtype=np.float64)
-    sign = -1.0 if rule == UpdateRule.EDDQN else 1.0
+    rewards = np.full(population, reward, dtype=np.float64)
+    # one action, always valid, never terminal: the replayed state is its
+    # own next state under both nets
+    terminals = np.zeros(population, dtype=bool)
+    valid = np.ones((population, 1), dtype=bool)
     summary = np.empty((updates + 1, 5), dtype=np.float64)
 
     def summarise(row: int) -> None:
@@ -63,7 +60,7 @@ def decay_experiment(
 
     summarise(0)
     for k in range(1, updates + 1):
-        target = reward + sign * gamma * q
+        target = td_targets(rule, rewards, terminals, q[:, None], q[:, None], valid, gamma)
         q = q + alpha * (target - q)
         summarise(k)
     return DecayExperimentResult(rule=rule.value, initial_value=reward, summary=summary)

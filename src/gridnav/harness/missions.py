@@ -39,6 +39,10 @@ class MissionSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
+        height, width = self.world.shape
+        for name, cell in (("start", self.start), ("goal", self.goal)):
+            if not (0 <= cell.row < height and 0 <= cell.col < width):
+                raise ValueError(f"{name} {tuple(cell)} outside {height}x{width} world")
         if self.target_distance is not None:
             actual = math.dist(self.start, self.goal)
             if abs(actual - self.target_distance) > 1.0:
@@ -59,7 +63,7 @@ def run_mission(
     world = generate_world(spec.world, start=spec.start, goal=spec.goal)
     env = phases.NavigationEnv(world=world, start=spec.start, goal=spec.goal)
     flown = replace(agent)
-    report, _ = phases.run_exploitation_phase(env, flown, seed=spec.seed, weather=spec.weather)
+    report = phases.run_exploitation_phase(env, flown, seed=spec.seed, weather=spec.weather)
     if spec.name:
         report.domain = f"{report.domain}:{spec.name}"
     return report, flown, env

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,10 +44,6 @@ class DecayExperimentResult:
     #: row 0 being the state before any update.
     summary: np.ndarray
 
-    @property
-    def updates(self) -> int:
-        return self.summary.shape[0] - 1
-
 
 def mission_reports_to_csv(reports: list[MissionReport]) -> str:
     if not reports:
@@ -76,26 +72,7 @@ def mission_reports_to_csv(reports: list[MissionReport]) -> str:
 def mission_reports_to_json(reports: list[MissionReport]) -> str:
     if not reports:
         raise ValueError("no reports to emit")
-    doc = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "reports": [
-            {
-                "completed": r.completed,
-                "distance_m": float(r.distance_m),
-                "time_s": r.time_s,
-                "obstacles": r.obstacles,
-                "predictions": r.predictions,
-                "corrections": r.corrections,
-                "random": r.random,
-                "route": [[c.row, c.col] for c in r.route],
-                "method": r.method,
-                "domain": r.domain,
-                "weather_kind": r.weather_kind,
-                "weather_intensity": r.weather_intensity,
-            }
-            for r in reports
-        ],
-    }
+    doc = {"schema_version": REPORT_SCHEMA_VERSION, "reports": [asdict(r) for r in reports]}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

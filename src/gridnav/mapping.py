@@ -1,11 +1,13 @@
-"""Dual-map grid representation: egocentric decision map and mission-wide map.
+"""Egocentric decision map: the grid the agent plans on.
 
-The navigation stack plans on two grids.  A 10x10 *decision map* is spawned
-around the agent and carries the local picture: what it has learned about
-each cell (free, visited or blocked), plus the agent's cell and the target
-cell that steers it toward the mission goal.  A *global map* the size of
-the search area accumulates everything the decision maps learned.  One grid
-cell is one square metre and the agent moves exactly one cell per step.
+A 10x10 *decision map* is spawned around the agent and carries the local
+picture: what it has learned about each cell (free, visited or blocked),
+plus the agent's cell and the target cell that steers it toward the mission
+goal.  A fresh map is spawned each time the agent reaches its target cell.
+What a whole mission sensed and flew is not a map: the mission keeps its
+route and the set of obstacle cells it sensed (see
+``agent.phases.run_exploitation_phase``).  One grid cell is one square
+metre and the agent moves exactly one cell per step.
 
 A map's ``cells`` hold only learned states; the agent and the target live
 only in the decision map's ``agent_local`` and ``target_cell`` fields, and
@@ -17,7 +19,6 @@ mutate their inputs, so maps can be shared freely across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from typing import Iterable, NamedTuple
@@ -37,14 +38,6 @@ REWARD_VISITED = -0.25
 REWARD_VALID = -0.04
 REWARD_INVALID = -0.75
 
-REWARD_VALUES = (
-    REWARD_REACHED,
-    REWARD_BLOCKED,
-    REWARD_VISITED,
-    REWARD_VALID,
-    REWARD_INVALID,
-)
-
 
 class GridCoord(NamedTuple):
     row: int
@@ -52,21 +45,12 @@ class GridCoord(NamedTuple):
 
 
 class CellState(IntEnum):
-    """What a map has learned about a cell, in merge precedence order: a
-    visited cell upgrades a free one and a blocked cell absorbs both."""
+    """What a decision map has learned about a cell; the raster codes are
+    indexed by it."""
 
     FREE = 0
     VISITED = 1
     BLOCKED = 2
-
-
-#: JSON names for each cell state (and the reverse lookup).
-CELL_STATE_NAMES = {
-    CellState.FREE: "free",
-    CellState.VISITED: "visited",
-    CellState.BLOCKED: "blocked",
-}
-CELL_STATE_FROM_NAME = {name: state for state, name in CELL_STATE_NAMES.items()}
 
 
 class Action(IntEnum):
@@ -149,31 +133,6 @@ class LocalMap:
     @property
     def target_global(self) -> GridCoord:
         return local_to_global(self, self.target_cell)
-
-
-@dataclass(frozen=True)
-class GlobalMap:
-    """Search-area map accumulating knowledge from completed decision maps.
-
-    ``cells`` is a read-only (height, width) int8 array of the
-    :class:`CellState` each decision map learned; it never holds the agent.
-    """
-
-    cells: np.ndarray
-    start: GridCoord
-    goal: GridCoord
-
-    def __post_init__(self) -> None:
-        self.cells.flags.writeable = False
-
-
-def new_global_map(width: int, height: int, start: GridCoord, goal: GridCoord) -> GlobalMap:
-    if not (0 <= start.row < height and 0 <= start.col < width):
-        raise ValueError(f"start {start} outside {height}x{width} map")
-    if not (0 <= goal.row < height and 0 <= goal.col < width):
-        raise ValueError(f"goal {goal} outside {height}x{width} map")
-    cells = np.zeros((height, width), dtype=np.int8)
-    return GlobalMap(cells=cells, start=start, goal=goal)
 
 
 def local_to_global(local: LocalMap, coord: GridCoord) -> GridCoord:
@@ -325,26 +284,6 @@ def reward(outcome_cell_global: GridCoord, local: LocalMap, goal_global: GridCoo
     return REWARD_VALID
 
 
-def merge_into_global(global_map: GlobalMap, local: LocalMap) -> GlobalMap:
-    """Write the decision map's visited and blocked cells into the big map.
-
-    Each cell takes the higher :class:`CellState` of the two maps, so a
-    blocked cell is never downgraded and a visited one upgrades a free one.
-    Cells outside the global bounds (the clipped border padding) are
-    ignored, and so is the agent's own cell until the agent leaves it.
-    """
-    learned = local.cells.copy()
-    learned[local.agent_local] = CellState.FREE
-    height, width = global_map.cells.shape
-    r0, c0 = local.origin_global
-    top, left = max(r0, 0), max(c0, 0)
-    bottom, right = min(r0 + LOCAL_SIZE, height), min(c0 + LOCAL_SIZE, width)
-    cells = global_map.cells.copy()
-    window = cells[top:bottom, left:right]
-    np.maximum(window, learned[top - r0:bottom - r0, left - c0:right - c0], out=window)
-    return replace(global_map, cells=cells)
-
-
 def render_decision_map(local: LocalMap) -> np.ndarray:
     """Row-major 100-vector of the map raster coding, in [-1, 1].
 
@@ -356,47 +295,3 @@ def render_decision_map(local: LocalMap) -> np.ndarray:
     raster[local.agent_local] = -0.5
     return raster.reshape(-1)
 
-
-def global_map_to_dict(global_map: GlobalMap) -> dict:
-    """JSON document for a global map; free cells are omitted."""
-    cells = []
-    nonfree = np.argwhere(global_map.cells != CellState.FREE)
-    for r, c in nonfree:
-        cells.append(
-            {
-                "r": int(r),
-                "c": int(c),
-                "state": CELL_STATE_NAMES[CellState(global_map.cells[r, c])],
-            }
-        )
-    return {
-        "width": global_map.cells.shape[1],
-        "height": global_map.cells.shape[0],
-        "start": [global_map.start.row, global_map.start.col],
-        "goal": [global_map.goal.row, global_map.goal.col],
-        "cells": cells,
-    }
-
-
-def global_map_from_dict(doc: dict) -> GlobalMap:
-    gmap = new_global_map(
-        width=int(doc["width"]),
-        height=int(doc["height"]),
-        start=GridCoord(*doc["start"]),
-        goal=GridCoord(*doc["goal"]),
-    )
-    cells = gmap.cells.copy()
-    for entry in doc["cells"]:
-        cells[entry["r"], entry["c"]] = CELL_STATE_FROM_NAME[entry["state"]]
-    return replace(gmap, cells=cells)
-
-
-def save_global_map(global_map: GlobalMap, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(global_map_to_dict(global_map), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_global_map(path) -> GlobalMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return global_map_from_dict(json.load(fh))

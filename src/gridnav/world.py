@@ -86,10 +86,6 @@ class WeatherCondition:
         if self.kind == WeatherKind.CLEAR and self.intensity != 0.0:
             raise ValueError("clear weather has zero intensity")
 
-    @property
-    def visibility(self) -> float:
-        return 1.0 - self.intensity
-
 
 CLEAR = WeatherCondition(WeatherKind.CLEAR, 0.0)
 

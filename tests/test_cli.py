@@ -373,6 +373,26 @@ class TestEvaluate:
         assert "bad mission entry '1,1:x'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("missions", ["1,1,1:5,5", "1:5,5", "150,150:5,5",
+                                          "1,1:5,5;2,2:50,50"],
+                             ids=["three-coordinates", "one-coordinate", "start-outside",
+                                  "second-goal-outside"])
+    def test_misshapen_or_outside_mission_entry_is_a_usage_error(
+            self, tmp_path, capsys, trained_tiny, missions):
+        """Every entry is checked, against the world's bounds too, before
+        the first mission flies or any output exists; the last entry is the
+        bad one."""
+        entry = missions.split(";")[-1]
+        out = tmp_path / "badm"
+        code = run_cli("evaluate", "--config", write_config(tmp_path / "cfg", **EVAL_KEYS),
+                       "--checkpoint", str(trained_tiny), "--missions", missions,
+                       "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"bad mission entry {entry!r}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_single_mission_yields_one_row(self, tmp_path, trained_tiny):
         cfg = write_config(tmp_path / "cfg", **EVAL_KEYS)
         out = tmp_path / "o"

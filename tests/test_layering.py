@@ -1,8 +1,10 @@
-"""The package's layers import only downward.
+"""The package's layers import only downward, and every public name is used.
 
 ``world``, ``mapping`` and ``nn`` are the bottom layers, ``agent`` builds on
 them, and ``harness`` and ``cli`` sit on top.  Every import statement of every
 module is read from its syntax tree, lazy imports inside functions included.
+A public name that nothing in the package reads is dead weight: tests and
+``__init__`` re-exports alone do not keep it.
 """
 
 import ast
@@ -62,3 +64,47 @@ def test_no_module_imports_a_layer_above_it():
                    if any(imported == top or imported.startswith(top + ".")
                           for top in forbidden)]
     assert not upward
+
+
+def public_definitions(tree: ast.Module):
+    """``(label, name, node, is_member)`` of every public module-level
+    function, class and constant of ``tree``, and of every public method and
+    property of its module-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from ((name, name, node, False) for name in names if not name.startswith("_"))
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name, member, True
+
+
+def test_every_public_name_has_a_caller():
+    """A module-level name counts as used where an ``ast.Name`` or
+    ``ast.Attribute`` of it appears outside its own definition and outside
+    ``__init__.py`` files; a method or property only where an
+    ``ast.Attribute`` of it does."""
+    trees = {name: ast.parse(path.read_text(encoding="utf-8"))
+             for name, path in MODULES.items() if path.name != "__init__.py"}
+    uses: dict[str, list[tuple[ast.AST, bool]]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append((node, False))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((node, True))
+    uncalled = []
+    for module, tree in trees.items():
+        for label, name, definition, is_member in public_definitions(tree):
+            own = {id(node) for node in ast.walk(definition)}
+            if not any(id(node) not in own and (is_attribute or not is_member)
+                       for node, is_attribute in uses.get(name, ())):
+                uncalled.append(f"{module}.{label}")
+    assert not uncalled

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,14 +23,10 @@ from gridnav.mapping import (
     REWARD_VISITED,
     apply_move,
     classify_action,
-    global_map_from_dict,
-    global_map_to_dict,
     global_to_local,
     in_local_bounds,
     local_to_global,
     mark_blocked,
-    merge_into_global,
-    new_global_map,
     render_decision_map,
     retarget,
     reward,
@@ -215,41 +210,6 @@ class TestReward:
         assert reward(goal, local, goal) == REWARD_REACHED
 
 
-class TestMerge:
-    def test_copies_exactly_the_nonfree_cells(self):
-        gmap = new_global_map(300, 100, GridCoord(50, 50), GridCoord(50, 200))
-        local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
-        local = apply_move(local, Action.NORTH)
-        local = apply_move(local, Action.NORTH)
-        local = apply_move(local, Action.EAST)
-        local = mark_blocked(local, [GridCoord(50, 49)])
-        merged = merge_into_global(gmap, local)
-        changed = np.argwhere(np.asarray(merged.cells) != np.asarray(gmap.cells))
-        assert len(changed) == 4  # 3 visited + 1 blocked; current is not copied
-        assert merged.cells[50, 49] == CellState.BLOCKED
-        assert merged.cells[50, 50] == CellState.VISITED
-
-    def test_blocked_never_downgraded(self):
-        gmap = new_global_map(300, 100, GridCoord(50, 50), GridCoord(50, 200))
-        local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
-        local = mark_blocked(local, [GridCoord(49, 50)])
-        gmap = merge_into_global(gmap, local)
-        assert gmap.cells[49, 50] == CellState.BLOCKED
-
-        # A later map that walked through the same cell cannot unblock it.
-        later = spawn_local_map(GridCoord(48, 50), GridCoord(50, 200), WORLD)
-        later = apply_move(later, Action.SOUTH)  # stands on (49,50)
-        later = apply_move(later, Action.SOUTH)  # visited mark on (49,50)
-        gmap = merge_into_global(gmap, later)
-        assert gmap.cells[49, 50] == CellState.BLOCKED
-
-    def test_all_free_map_is_identity(self):
-        gmap = new_global_map(300, 100, GridCoord(50, 50), GridCoord(50, 200))
-        local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
-        merged = merge_into_global(gmap, local)
-        assert np.array_equal(np.asarray(merged.cells), np.asarray(gmap.cells))
-
-
 class TestDecisionMapRaster:
     def test_fresh_map_coding(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
@@ -339,77 +299,6 @@ def test_blocked_is_absorbing(blocked_cells, actions):
         tuple(c) for c in np.argwhere(np.asarray(local.cells) == CellState.BLOCKED)
     }
     assert blocked_before <= blocked_after
-
-
-def reference_merge(global_map, local):
-    """Independent oracle: the per-cell merge rule, skipping the agent's
-    cell and every cell outside the global bounds."""
-    cells = np.asarray(global_map.cells).copy()
-    height, width = cells.shape
-    for r in range(LOCAL_SIZE):
-        for c in range(LOCAL_SIZE):
-            gr, gc = local.origin_global.row + r, local.origin_global.col + c
-            if (r, c) == local.agent_local or not (0 <= gr < height and 0 <= gc < width):
-                continue
-            state = local.cells[r, c]
-            if cells[gr, gc] == CellState.BLOCKED:
-                continue
-            if state == CellState.VISITED:
-                cells[gr, gc] = CellState.VISITED
-            elif state == CellState.BLOCKED:
-                cells[gr, gc] = CellState.BLOCKED
-    return cells
-
-
-@pytest.mark.parametrize("start", [(0, 0), (0, 13), (11, 0), (11, 13), (1, 7), (10, 6),
-                                   (6, 1), (5, 12), (6, 7)],
-                         ids=["nw", "ne", "sw", "se", "north", "south", "west", "east",
-                              "inside"])
-def test_merge_matches_per_cell_oracle_on_random_walks(start):
-    """A 10x10 window on a 12x14 world is nearly always clipped: the starts
-    put it against each of the four borders and corners, and the walks move
-    it from there."""
-    world = (12, 14)
-    rng = np.random.default_rng(sum(start))
-    for _ in range(20):
-        gmap = new_global_map(world[1], world[0], GridCoord(*start), GridCoord(0, 0))
-        prior = rng.choice(list(CellState), size=world, p=[0.6, 0.25, 0.15])
-        gmap = replace(gmap, cells=prior.astype(np.int8))
-        goal = GridCoord(int(rng.integers(world[0])), int(rng.integers(world[1])))
-        local = spawn_local_map(GridCoord(*start), goal, world)
-        for _ in range(30):
-            blocked = [GridCoord(int(r), int(c))
-                       for r, c in rng.integers(-2, 16, size=(int(rng.integers(3)), 2))]
-            local = mark_blocked(local, blocked)
-            moves = [a for a in ACTIONS if classify_action(local, a) != ConstraintClass.HARD]
-            if moves:
-                local = apply_move(local, moves[int(rng.integers(len(moves)))])
-            merged = merge_into_global(gmap, local)
-            assert np.array_equal(np.asarray(merged.cells), reference_merge(gmap, local))
-            # keep some merges, as a mission does when it respawns, so later
-            # windows meet their own earlier marks as well as the prior
-            if rng.random() < 0.2:
-                gmap = merged
-
-
-class TestGlobalMapJson:
-    def test_round_trip(self):
-        gmap = new_global_map(30, 20, GridCoord(1, 1), GridCoord(18, 28))
-        local = spawn_local_map(GridCoord(10, 10), GridCoord(18, 28), (20, 30))
-        local = apply_move(local, Action.SOUTH)
-        local = mark_blocked(local, [GridCoord(10, 11)])
-        gmap = merge_into_global(gmap, local)
-        doc = global_map_to_dict(gmap)
-        restored = global_map_from_dict(doc)
-        assert np.array_equal(np.asarray(restored.cells), np.asarray(gmap.cells))
-        assert restored.start == gmap.start
-        assert restored.goal == gmap.goal
-
-    def test_states_are_strings(self):
-        gmap = new_global_map(5, 5, GridCoord(0, 0), GridCoord(4, 4))
-        doc = global_map_to_dict(gmap)
-        assert doc["width"] == 5 and doc["height"] == 5
-        assert doc["cells"] == []
 
 
 def test_action_deltas_are_unit_moves():

@@ -23,6 +23,7 @@ from gridnav.world import (
     generate_world,
     occupied_cells,
     render_frame,
+    sense_obstacles,
 )
 
 from conftest import Disc, world_of
@@ -147,7 +148,7 @@ class TestExploitationPhase:
         env = NavigationEnv(world=world, start=GridCoord(0, 0), goal=GridCoord(0, 1))
         config = AgentConfig()
         agent = Agent.new(config, seed=0, arch=phase_arch)
-        report, _ = run_exploitation_phase(env, agent, seed=0)
+        report = run_exploitation_phase(env, agent, seed=0)
         assert report.completed
         assert report.time_s == 1
         assert report.route == [GridCoord(0, 0), GridCoord(0, 1)]
@@ -157,7 +158,7 @@ class TestExploitationPhase:
                             goal=GridCoord(8, 8))
         config = AgentConfig(online_train_interval=10, mission_step_budget=120)
         agent = Agent.new(config, seed=0, arch=phase_arch)
-        report, _ = run_exploitation_phase(env, agent, seed=1)
+        report = run_exploitation_phase(env, agent, seed=1)
         assert report.predictions + report.corrections + report.random == report.time_s
         assert report.time_s == len(report.route) - 1
         for a, b in zip(report.route, report.route[1:]):
@@ -169,7 +170,7 @@ class TestExploitationPhase:
                             goal=GridCoord(8, 8))
         config = AgentConfig(online_train_interval=50, mission_step_budget=5)
         agent = Agent.new(config, seed=0, arch=phase_arch)
-        report, _ = run_exploitation_phase(env, agent, seed=2)
+        report = run_exploitation_phase(env, agent, seed=2)
         assert not report.completed
         assert report.time_s == 5
         assert len(report.route) == 6
@@ -183,7 +184,7 @@ class TestExploitationPhase:
         env = NavigationEnv(world=world, start=GridCoord(2, 2), goal=GridCoord(4, 4))
         config = AgentConfig(mission_step_budget=50)
         agent = Agent.new(config, seed=0, arch=phase_arch)
-        report, _ = run_exploitation_phase(env, agent, seed=3)
+        report = run_exploitation_phase(env, agent, seed=3)
         assert not report.completed
         assert report.time_s == 0
 
@@ -204,8 +205,8 @@ class TestExploitationPhase:
                             goal=GridCoord(8, 8))
         config = AgentConfig(online_train_interval=25, mission_step_budget=80)
         agent = Agent.new(config, seed=0, arch=phase_arch)
-        report, _ = run_exploitation_phase(env, agent, seed=5,
-                                           weather=WeatherCondition(WeatherKind.FOG, 0.30))
+        report = run_exploitation_phase(env, agent, seed=5,
+                                        weather=WeatherCondition(WeatherKind.FOG, 0.30))
         assert report.weather_kind == "fog"
         assert report.weather_intensity == 0.30
         assert report.predictions + report.corrections + report.random == report.time_s
@@ -217,7 +218,7 @@ class TestExploitationPhase:
         reports = []
         for _ in range(2):
             agent = Agent.new(config, seed=0, arch=phase_arch)
-            report, _ = run_exploitation_phase(env, agent, seed=6)
+            report = run_exploitation_phase(env, agent, seed=6)
             reports.append(report)
         assert reports[0].route == reports[1].route
         assert reports[0].predictions == reports[1].predictions
@@ -231,7 +232,7 @@ class TestExploitationPhase:
         env = NavigationEnv(world=world, start=GridCoord(1, 1), goal=GridCoord(10, 10))
         config = AgentConfig(online_train_interval=30, mission_step_budget=80)
         agent = Agent.new(config, seed=0, arch=phase_arch)
-        report, _ = run_exploitation_phase(env, agent, seed=7)
+        report = run_exploitation_phase(env, agent, seed=7)
         assert report.domain == "savanna"
         assert report.predictions + report.corrections + report.random == report.time_s
 
@@ -240,9 +241,27 @@ class TestExploitationPhase:
                             goal=GridCoord(8, 8))
         config = AgentConfig(online_train_interval=100, mission_step_budget=30)
         agent = Agent.new(config, seed=0, arch=phase_arch)
-        report, _ = run_exploitation_phase(env, agent, seed=8,
-                                           weather=WeatherCondition(WeatherKind.CLEAR, 0.0))
+        report = run_exploitation_phase(env, agent, seed=8,
+                                        weather=WeatherCondition(WeatherKind.CLEAR, 0.0))
         assert len(agent.buffer) == report.time_s
+
+    @pytest.mark.parametrize("weather", [WeatherCondition(WeatherKind.CLEAR, 0.0),
+                                         WeatherCondition(WeatherKind.SNOW, 0.30)],
+                             ids=["clear", "snow"])
+    def test_obstacles_are_the_cells_sensed_along_the_route(self, phase_arch, weather):
+        # on a static world the route is the whole record: every sensing
+        # happens at a route cell, so replaying it recovers the count
+        for seed in range(3):
+            spec = WorldSpec(domain=Domain.FOREST, width_m=16, height_m=16,
+                             obstacle_density=12.0, seed=40 + seed)
+            world = generate_world(spec, start=GridCoord(1, 1), goal=GridCoord(14, 14))
+            env = NavigationEnv(world=world, start=GridCoord(1, 1), goal=GridCoord(14, 14))
+            config = AgentConfig(online_train_interval=20, mission_step_budget=60)
+            agent = Agent.new(config, seed=seed, arch=phase_arch)
+            report = run_exploitation_phase(env, agent, seed=seed, weather=weather)
+            sensed = set().union(*(sense_obstacles(world, cell) for cell in report.route))
+            assert report.time_s > 0
+            assert report.obstacles == len(sensed) > 0
 
 
 def counted_renders(monkeypatch) -> list[int]:
@@ -261,7 +280,7 @@ def fly(arch, world, seed, weather=WeatherCondition(WeatherKind.CLEAR, 0.0), bud
     env = NavigationEnv(world=world, start=GridCoord(1, 1), goal=GridCoord(8, 8))
     config = AgentConfig(online_train_interval=10, batch_size=8, mission_step_budget=budget)
     agent = Agent.new(config, seed=0, arch=arch)
-    report, _ = run_exploitation_phase(env, agent, seed=seed, weather=weather)
+    report = run_exploitation_phase(env, agent, seed=seed, weather=weather)
     return report, agent.buffer
 
 

@@ -415,10 +415,6 @@ class TestWeather:
         slack = 0.05 if kind == WeatherKind.FOG else 0.0
         assert out.max() - out.min() <= (1.0 - intensity) * contrast + slack
 
-    def test_visibility_matches_intensity_levels(self):
-        assert WeatherCondition(WeatherKind.SNOW, 0.15).visibility == 0.85
-        assert WeatherCondition(WeatherKind.FOG, 0.30).visibility == pytest.approx(0.70)
-
     def test_invalid_intensity_rejected(self):
         with pytest.raises(ValueError):
             WeatherCondition(WeatherKind.SNOW, 0.5)

@@ -19,7 +19,9 @@ does.  The set:
   24x24 savanna with 3 moving obstacles (online updates every 5 steps,
   budget 40, seed 3), under snow, dust and fog at 0.30 and in clear weather;
 * ``evaluate`` of the ten-test sequence at scale 0.05, budget 12, seed 2;
-* ``decay`` with 50 updates.
+* ``decay`` with 50 updates;
+* ``generate-world`` of a 30x30 savanna with 3 moving obstacles, world
+  seed 5.
 
 About 40 s on two cores.  Exits 1 when a command returns an exit code
 it should not.
@@ -62,6 +64,8 @@ def runs() -> list[tuple[list[str], tuple[int, ...]]]:
     listed.append(([*evaluate, "--scale", "0.05", "--budget", "12", "--seed", "2",
                     "--out", "sequence"], (0,)))
     listed.append((["decay", "--updates", "50", "--out", "decay"], (0,)))
+    listed.append((["generate-world", "--domain", "savanna", "--width", "30", "--height", "30",
+                    "--dynamic-count", "3", "--world-seed", "5", "--out", "world"], (0,)))
     return listed
 
 
