@@ -8,6 +8,7 @@ mini-batches of 32.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,10 +28,9 @@ class AgentConfig:
     target_sync_every: int = 10
     learning_rate: float = 0.001
     batch_size: int = 32
-    rule: UpdateRule = UpdateRule.EDDQN
-    #: None runs the feedforward network; 100 or 1000 trains the recurrent
-    #: variant on contiguous episode segments of that length.
-    trace_length: int | None = None
+    #: The one rule setting, named as on the CLI: ``dqn``, ``ddqn``, ``eddqn``,
+    #: or ``drqn<T>``, DQN over the recurrent net trained on T-step traces.
+    rule: str = "eddqn"
     max_episodes: int = 1500
     success_streak: int = 50
     max_steps_per_episode: int = 150
@@ -44,24 +44,30 @@ class AgentConfig:
     online_train_interval: int = 1
 
     @property
-    def rule_name(self) -> str:
-        """The CLI's name for the rule: ``drqn<trace length>`` for the
-        recurrent variant, else the update rule's own name."""
-        return self.rule.value if self.trace_length is None else f"drqn{self.trace_length}"
+    def trace_length(self) -> int | None:
+        """T of a ``drqn<T>`` rule; None for a feedforward rule."""
+        return int(self.rule[len("drqn"):]) if self.rule.startswith("drqn") else None
+
+    @property
+    def update_rule(self) -> UpdateRule:
+        """The TD-target rule: a DRQN trains with DQN's."""
+        return UpdateRule.DQN if self.trace_length is not None else UpdateRule(self.rule)
 
     def __post_init__(self) -> None:
+        self.rule = self.rule.lower()
+        if not re.fullmatch("dqn|ddqn|eddqn|drqn[1-9][0-9]*", self.rule):
+            raise ValueError(f"rule {self.rule!r} is not dqn, ddqn, eddqn or drqn<T> "
+                             "with a positive trace length T")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
         for name in ("epsilon_train", "epsilon_test"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.trace_length is not None and self.trace_length < 1:
-            raise ValueError("trace_length must be positive")
         if self.batch_size < 1 or self.replay_capacity < 1:
             raise ValueError("batch_size and replay_capacity must be positive")
         if self.trace_length is not None and self.trace_length > self.replay_capacity:
             # no trace would ever fit in the buffer, so the net would never train
-            raise ValueError(f"trace_length {self.trace_length} exceeds "
+            raise ValueError(f"rule {self.rule}'s {self.trace_length}-step trace exceeds "
                              f"replay_capacity {self.replay_capacity}")
         # update cadences, taken modulo the update or step count
         for name in ("target_sync_every", "online_train_interval", "exploration_train_interval"):

@@ -150,11 +150,10 @@ def train_step(
         batch = None
     if batch is None:
         return None
-    targets = compute_targets(config.rule, batch, value_net, target_net, config.gamma,
+    targets = compute_targets(config.update_rule, batch, value_net, target_net, config.gamma,
                               target_rows=target_rows)
-    dropout_seed = int(rng.integers(0, 2**63))
     q, cache = nn.forward_cached(value_net, _stacked(batch, "frame"), _stacked(batch, "raster"),
-                                 mode="train", dropout_seed=dropout_seed)
+                                 dropout_seed=int(rng.integers(0, 2**63)))
     loss, dq = nn.mse_loss_grad(q.reshape(-1, q.shape[-1]), targets.astype(q.dtype),
                                 _stacked(batch, "action").reshape(-1))
     grads = nn.backward(value_net, cache, dq.reshape(q.shape))

@@ -140,7 +140,7 @@ class Agent:
 
     def save(self, path) -> None:
         nn.save_checkpoint(path, self.value_net, self.adam,
-                           extra={"rule": self.config.rule_name})
+                           extra={"rule": self.config.rule})
 
     @classmethod
     def load(cls, path, config: AgentConfig) -> Agent:
@@ -150,7 +150,7 @@ class Agent:
         if net.arch.recurrent != (config.trace_length is not None):
             kinds = ("feedforward", "recurrent")
             raise ValueError(f"holds a {kinds[net.arch.recurrent]} network, rule "
-                             f"{config.rule_name} needs a {kinds[not net.arch.recurrent]} one")
+                             f"{config.rule} needs a {kinds[not net.arch.recurrent]} one")
         if adam is None:
             adam = nn.init_adam(net.params, learning_rate=config.learning_rate)
         return cls(net, nn.clone_params(net), adam, config)
@@ -437,7 +437,7 @@ def run_exploitation_phase(
         corrections=counts[PolicyDecision.CORRECTED],
         random=counts[PolicyDecision.RANDOM],
         route=route,
-        method=config.rule_name,
+        method=config.rule,
         domain=world.spec.domain.value,
         weather_kind=weather.kind.value,
         weather_intensity=weather.intensity,

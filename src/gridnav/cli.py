@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, make_dataclass
+from dataclasses import dataclass, fields
 
 from .agent import Agent, AgentConfig, NavigationEnv, UpdateRule, run_exploration_phase, \
     write_training_log
@@ -43,25 +43,14 @@ from .world import (
     save_world,
 )
 
-RULE_CHOICES = ("dqn", "ddqn", "eddqn", "drqn100", "drqn1000")
-
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_EPISODE_CAP = 3
 
 
-#: AgentConfig's fields, file- and flag-addressable by the same names, except
-#: that ``rule`` holds the CLI rule name: ``drqn100`` and ``drqn1000`` select
-#: DQN over the recurrent network and set ``trace_length``.
-_AgentFields = make_dataclass("_AgentFields", [
-    (f.name, "str", f.default.value) if f.name == "rule" else (f.name, f.type, f.default)
-    for f in fields(AgentConfig) if f.name != "trace_length"
-])
-
-
 @dataclass
-class RunConfig(_AgentFields):
+class RunConfig(AgentConfig):
     """Every tunable of the workbench, file- and flag-addressable by name."""
 
     # world
@@ -88,18 +77,14 @@ class RunConfig(_AgentFields):
     # decay experiment
     decay_updates: int = 500
     decay_alpha: float = 0.5
-    decay_population: int = 100
     decay_reward: float = -0.04
     decay_gamma: float = 0.95
 
-    def agent_config(self) -> AgentConfig:
-        values = {f.name: getattr(self, f.name) for f in fields(_AgentFields)}
-        rule = self.rule.lower()
-        if rule.startswith("drqn"):
-            values.update(rule=UpdateRule.DQN, trace_length=int(rule[len("drqn"):]))
-        else:
-            values["rule"] = UpdateRule(rule)
-        return AgentConfig(**values)
+    def __post_init__(self) -> None:
+        # reject bad agent, world and weather values before any command runs
+        super().__post_init__()
+        self.world_spec()
+        self.weather_condition()
 
     def world_spec(self) -> WorldSpec:
         return WorldSpec(
@@ -157,23 +142,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             values[key] = flag
     if "seed" not in values and os.environ.get("NAV_SEED"):
         values["seed"] = int(os.environ["NAV_SEED"])
-    config = RunConfig(**values)
-    # reject bad agent, world and weather values before any command runs
-    config.agent_config()
-    config.world_spec()
-    config.weather_condition()
-    return config
-
-
-def dump_effective_config(config: RunConfig, path) -> None:
-    lines = [f"{f.name} = {getattr(config, f.name)}" for f in fields(RunConfig)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return RunConfig(**values)
 
 
 def _ensure_out(config: RunConfig) -> str:
     os.makedirs(config.out_dir, exist_ok=True)
-    dump_effective_config(config, os.path.join(config.out_dir, "effective_config.txt"))
+    lines = [f"{f.name} = {getattr(config, f.name)}" for f in fields(RunConfig)]
+    with open(os.path.join(config.out_dir, "effective_config.txt"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
     return config.out_dir
 
 
@@ -227,14 +203,13 @@ def cmd_train(config: RunConfig) -> int:
         return EXIT_USAGE
     out = _ensure_out(config)
     env = NavigationEnv(world=world, start=start, goal=goal)
-    agent_config = config.agent_config()
 
     def report_progress(log):
-        if log.episode % 50 == 0 or log.streak >= agent_config.success_streak:
+        if log.episode % 50 == 0 or log.streak >= config.success_streak:
             print(f"episode {log.episode}: steps {log.steps} "
                   f"reward {log.reward_sum:.2f} streak {log.streak}")
 
-    agent = Agent.new(agent_config, seed=config.seed)
+    agent = Agent.new(config, seed=config.seed)
     episodes, converged = run_exploration_phase(env, agent, seed=config.seed,
                                                 progress=report_progress)
     ckpt_path = os.path.join(out, "checkpoint.npz")
@@ -282,7 +257,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         print(f"error: checkpoint {config.checkpoint!r} not found", file=sys.stderr)
         return EXIT_USAGE
     try:
-        agent = Agent.load(config.checkpoint, config.agent_config())
+        agent = Agent.load(config.checkpoint, config)
     except ValueError as exc:
         print(f"error: checkpoint {config.checkpoint!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -321,7 +296,6 @@ def cmd_decay(config: RunConfig) -> int:
     results = [
         decay_experiment(
             rule,
-            population=config.decay_population,
             reward=config.decay_reward,
             gamma=config.decay_gamma,
             alpha=config.decay_alpha,
@@ -332,22 +306,32 @@ def cmd_decay(config: RunConfig) -> int:
     path = os.path.join(out, "decay.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(decay_results_to_csv(results))
-    finals = {r.rule: r.summary[-1, 2] for r in results}
-    print(f"wrote {path}: medians after {config.decay_updates} updates "
-          + ", ".join(f"{rule}={value:.6f}" for rule, value in sorted(finals.items())))
+    print(f"wrote {path}: values after {config.decay_updates} updates "
+          + ", ".join(f"{r.rule}={r.values[-1]:.6f}" for r in results))
     return EXIT_OK
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, func, help: str,
+                 world_size: bool = True) -> argparse.ArgumentParser:
+    """The ``name`` subcommand, which runs ``func``, with the flags of every
+    command and, with ``world_size``, those of the world's size."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(func=func)
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--seed", type=int, dest="seed", help="master seed")
     parser.add_argument("--out", dest="out_dir", help="output directory")
-    parser.add_argument("--rule", choices=RULE_CHOICES, dest="rule")
+    parser.add_argument("--rule", choices=("dqn", "ddqn", "eddqn", "drqn100", "drqn1000"),
+                        dest="rule")
     parser.add_argument("--weather", choices=[w.value for w in WeatherKind],
                         dest="weather")
     parser.add_argument("--intensity", type=float, choices=[0.0, 0.15, 0.30],
                         dest="intensity")
     parser.add_argument("--domain", choices=[d.value for d in Domain], dest="domain")
+    if world_size:
+        parser.add_argument("--width", type=int, dest="world_width")
+        parser.add_argument("--height", type=int, dest="world_height")
+        parser.add_argument("--density", type=float, dest="obstacle_density")
+    return parser
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -357,42 +341,25 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate-world", help="write a deterministic world file")
-    _add_common_flags(p)
-    p.add_argument("--width", type=int, dest="world_width")
-    p.add_argument("--height", type=int, dest="world_height")
-    p.add_argument("--density", type=float, dest="obstacle_density")
+    p = _add_command(sub, "generate-world", cmd_generate_world, "write a deterministic world file")
     p.add_argument("--dynamic-count", type=int, dest="dynamic_count")
     p.add_argument("--world-seed", type=int, dest="world_seed")
-    p.set_defaults(func=cmd_generate_world)
 
-    p = sub.add_parser("train", help="run the teleport-mode training phase")
-    _add_common_flags(p)
+    p = _add_command(sub, "train", cmd_train, "run the teleport-mode training phase")
     p.add_argument("--episodes", type=int, dest="max_episodes")
     p.add_argument("--world-file", dest="world_file")
-    p.add_argument("--width", type=int, dest="world_width")
-    p.add_argument("--height", type=int, dest="world_height")
-    p.add_argument("--density", type=float, dest="obstacle_density")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="fly the ten-test sequence or listed missions")
-    _add_common_flags(p)
+    p = _add_command(sub, "evaluate", cmd_evaluate, "fly the ten-test sequence or listed missions")
     p.add_argument("--checkpoint", dest="checkpoint")
     p.add_argument("--scale", type=float, dest="sequence_scale")
     p.add_argument("--budget", type=int, dest="mission_step_budget")
     p.add_argument("--missions", dest="missions",
                    help="semicolon-separated r,c:r,c start/goal pairs")
-    p.add_argument("--width", type=int, dest="world_width")
-    p.add_argument("--height", type=int, dest="world_height")
-    p.add_argument("--density", type=float, dest="obstacle_density")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("decay", help="run the repeated-update decay experiment")
-    _add_common_flags(p)
+    p = _add_command(sub, "decay", cmd_decay, "run the repeated-update decay experiment",
+                     world_size=False)
     p.add_argument("--updates", type=int, dest="decay_updates")
     p.add_argument("--alpha", type=float, dest="decay_alpha")
-    p.add_argument("--population", type=int, dest="decay_population")
-    p.set_defaults(func=cmd_decay)
     return parser
 
 

@@ -1,9 +1,9 @@
 """Scalar Q-value decay under repeated replay of one transition.
 
 Strips the networks away and runs the shipped update rule's targets
-(``agent.learning.td_targets``) on a population of scalar Q-states whose
-own value feeds their bootstrap term (what happens when the same transition
-is drawn from a small replay buffer over and over):
+(``agent.learning.td_targets``) on one scalar Q-state whose own value feeds
+its bootstrap term (what happens when the same transition is drawn from a
+small replay buffer over and over):
 
     additive rule:     q <- q + a * ((r + g * q) - q)
     subtractive rule:  q <- q + a * ((r - g * q) - q)
@@ -23,44 +23,29 @@ from ..agent.config import UpdateRule
 from ..agent.learning import td_targets
 from .reports import DecayExperimentResult
 
-DEFAULT_POPULATION = 100
-DEFAULT_REWARD = -0.04
-DEFAULT_GAMMA = 0.95
-DEFAULT_ALPHA = 0.5
-
 
 def decay_experiment(
     rule: UpdateRule,
-    population: int = DEFAULT_POPULATION,
-    reward: float = DEFAULT_REWARD,
-    gamma: float = DEFAULT_GAMMA,
-    alpha: float = DEFAULT_ALPHA,
+    reward: float = -0.04,
+    gamma: float = 0.95,
+    alpha: float = 0.5,
     updates: int = 500,
 ) -> DecayExperimentResult:
-    """Iterate the rule's self-referential update over a state population.
+    """Iterate the rule's self-referential update on one state.
 
-    All states start at the one-step reward value.  Returns the per-update
-    five-number summary (min, quartiles, max); row 0 is the initial state,
-    so the summary has ``updates + 1`` rows.
+    The state starts at the one-step reward.  Returns its value after each
+    update; index 0 is the initial value, so there are ``updates + 1``.
     """
     if updates < 0:
         raise ValueError("updates must be >= 0")
-    if population < 1:
-        raise ValueError("population must be positive")
-    q = np.full(population, reward, dtype=np.float64)
-    rewards = np.full(population, reward, dtype=np.float64)
+    q = rewards = np.full(1, reward, dtype=np.float64)
+    values = [q[0]]
     # one action, always valid, never terminal: the replayed state is its
     # own next state under both nets
-    terminals = np.zeros(population, dtype=bool)
-    valid = np.ones((population, 1), dtype=bool)
-    summary = np.empty((updates + 1, 5), dtype=np.float64)
-
-    def summarise(row: int) -> None:
-        summary[row] = np.percentile(q, [0, 25, 50, 75, 100])
-
-    summarise(0)
-    for k in range(1, updates + 1):
+    terminals = np.zeros(1, dtype=bool)
+    valid = np.ones((1, 1), dtype=bool)
+    for _ in range(updates):
         target = td_targets(rule, rewards, terminals, q[:, None], q[:, None], valid, gamma)
         q = q + alpha * (target - q)
-        summarise(k)
-    return DecayExperimentResult(rule=rule.value, initial_value=reward, summary=summary)
+        values.append(q[0])
+    return DecayExperimentResult(rule=rule.value, values=np.array(values))

@@ -1,4 +1,4 @@
-"""Mission reports, decay-experiment summaries, and their file formats.
+"""Mission reports, decay-experiment values, and their file formats.
 
 Emitted artifacts are deterministic byte-for-byte given the same inputs:
 floats are written with ``repr`` (shortest round-trip form), rows keep a
@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ MISSION_CSV_COLUMNS = (
     "random",
 )
 
-DECAY_CSV_COLUMNS = ("rule", "update", "min", "q1", "median", "q3", "max")
+DECAY_CSV_COLUMNS = ("rule", "update", "q")
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -39,10 +40,9 @@ REPORT_SCHEMA_VERSION = 1
 @dataclass
 class DecayExperimentResult:
     rule: str
-    initial_value: float
-    #: (updates + 1, 5) array of (min, q1, median, q3, max) per update index,
-    #: row 0 being the state before any update.
-    summary: np.ndarray
+    #: (updates + 1,) Q-values per update index, index 0 being the state
+    #: before any update.
+    values: np.ndarray
 
 
 def mission_reports_to_csv(reports: list[MissionReport]) -> str:
@@ -81,9 +81,8 @@ def decay_results_to_csv(results: list[DecayExperimentResult]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(DECAY_CSV_COLUMNS)
     for res in results:
-        for update in range(res.summary.shape[0]):
-            row = res.summary[update]
-            writer.writerow([res.rule, update] + [repr(float(v)) for v in row])
+        for update, q in enumerate(res.values.tolist()):
+            writer.writerow([res.rule, update, repr(q)])
     return buf.getvalue()
 
 
@@ -126,18 +125,17 @@ def route_trace_svg(report: MissionReport, world: World, start: GridCoord,
     return "\n".join(parts) + "\n"
 
 
-def emit_report(reports: list[MissionReport], out_dir, stem: str = "missions") -> dict:
-    """Write the CSV + JSON pair for a batch of mission reports.
+def emit_report(reports: list[MissionReport], out_dir) -> dict:
+    """Write ``missions.csv`` and ``missions.json`` for a batch of mission
+    reports.
 
     Returns the written paths keyed by format.
     """
-    import os
-
     if not reports:
         raise ValueError("no reports to emit")
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{stem}.csv")
-    json_path = os.path.join(out_dir, f"{stem}.json")
+    csv_path = os.path.join(out_dir, "missions.csv")
+    json_path = os.path.join(out_dir, "missions.json")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(mission_reports_to_csv(reports))
     with open(json_path, "w", encoding="utf-8") as fh:

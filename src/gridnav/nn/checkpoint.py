@@ -13,9 +13,10 @@ import json
 import numpy as np
 
 from .model import ArchitectureSpec, QNetwork, check_params
-from .optim import AdamState
+from .optim import BETA1, BETA2, EPSILON, AdamState
 
 FORMAT_VERSION = 1
+_ADAM_CONSTANTS = {"beta1": BETA1, "beta2": BETA2, "epsilon": EPSILON}
 
 
 def save_checkpoint(path, net: QNetwork, adam: AdamState | None = None,
@@ -30,9 +31,7 @@ def save_checkpoint(path, net: QNetwork, adam: AdamState | None = None,
     if adam is not None:
         meta["adam"] = {
             "learning_rate": adam.learning_rate,
-            "beta1": adam.beta1,
-            "beta2": adam.beta2,
-            "epsilon": adam.epsilon,
+            **_ADAM_CONSTANTS,
             "step": adam.step,
         }
         arrays.update({f"adam_m/{k}": v for k, v in adam.m.items()})
@@ -58,11 +57,11 @@ def load_checkpoint(path):
         net = QNetwork(arch=arch, params=params)
         adam = None
         if "adam" in meta:
+            recorded = {k: meta["adam"][k] for k in _ADAM_CONSTANTS}
+            if recorded != _ADAM_CONSTANTS:
+                raise ValueError(f"Adam constants {recorded} are not {_ADAM_CONSTANTS}")
             adam = AdamState(
                 learning_rate=float(meta["adam"]["learning_rate"]),
-                beta1=float(meta["adam"]["beta1"]),
-                beta2=float(meta["adam"]["beta2"]),
-                epsilon=float(meta["adam"]["epsilon"]),
                 step=int(meta["adam"]["step"]),
                 m={k.split("/", 1)[1]: data[k] for k in data.files if k.startswith("adam_m/")},
                 v={k.split("/", 1)[1]: data[k] for k in data.files if k.startswith("adam_v/")},

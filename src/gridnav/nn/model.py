@@ -241,16 +241,14 @@ def _map_branch(net: QNetwork, rasters: np.ndarray):
     return m, zm
 
 
-def _features_forward(net: QNetwork, frames: np.ndarray, rasters: np.ndarray, mode: str,
-                      dropout_seed: int):
+def _features_forward(net: QNetwork, frames: np.ndarray, rasters: np.ndarray,
+                      dropout_seed: int | None):
     """Trunk plus map branch: the (N, feature_width) rows the head reads, and
     the ``(chunk_caches, rasters, zm)`` cache of :func:`_features_backward`.
     ``frames`` and ``rasters`` are flat row batches already in the parameter
-    dtype; in train mode row n takes dropout row n."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    dtype; with a ``dropout_seed`` (train mode) row n takes dropout row n."""
     drop = (_dropout_mask(net.arch, frames.shape[0], dropout_seed, frames.dtype)
-            if mode == "train" else None)
+            if dropout_seed is not None else None)
     img, chunk_caches = _trunk(net, frames, drop, want_cache=True)
     m, zm = _map_branch(net, rasters)
     return np.concatenate([img, m], axis=1), (chunk_caches, rasters, zm)
@@ -351,16 +349,18 @@ def q_from_features(net: QNetwork, img_feats: np.ndarray, rasters: np.ndarray) -
     return _batch_major(q, lead)
 
 
-def forward_cached(net: QNetwork, frames: np.ndarray, rasters: np.ndarray, mode: str = "eval",
-                   dropout_seed: int = 0, hidden: tuple[np.ndarray, np.ndarray] | None = None):
+def forward_cached(net: QNetwork, frames: np.ndarray, rasters: np.ndarray,
+                   dropout_seed: int | None = None,
+                   hidden: tuple[np.ndarray, np.ndarray] | None = None):
     """Q-values of B traces of T steps, and the cache of :func:`backward`.
 
     ``frames`` is (B, T, H, W) and ``rasters`` (B, T, map_cells); a flat
     (B, H, W) and (B, map_cells) batch is B one-step traces.  The Q-values
-    have the same leading shape.  The trunk and map branch run on the steps
-    time-major, so step t of trace b takes dropout row t*B + b in train
-    mode.  A feedforward net maps every step on its own; a recurrent net
-    runs its LSTM along T from ``hidden`` = (h, c), or the zero state.
+    have the same leading shape.  A ``dropout_seed`` selects train mode,
+    None eval mode.  The trunk and map branch run on the steps time-major,
+    so step t of trace b takes dropout row t*B + b in train mode.  A
+    feedforward net maps every step on its own; a recurrent net runs its
+    LSTM along T from ``hidden`` = (h, c), or the zero state.
     """
     arch = net.arch
     dtype = net.params["head_w"].dtype
@@ -375,7 +375,7 @@ def forward_cached(net: QNetwork, frames: np.ndarray, rasters: np.ndarray, mode:
         raise ValueError(f"empty batch of shape {frames.shape}")
 
     cat, feat_cache = _features_forward(net, _time_major(frames, lead),
-                                        _time_major(rasters, lead), mode, dropout_seed)
+                                        _time_major(rasters, lead), dropout_seed)
     q, head_cache = _head_forward(net, cat, lead[0], hidden)
     return _batch_major(q, lead), (feat_cache, head_cache)
 

@@ -85,6 +85,8 @@ class WeatherCondition:
             raise ValueError(f"intensity {self.intensity} not one of {ALLOWED_INTENSITIES}")
         if self.kind == WeatherKind.CLEAR and self.intensity != 0.0:
             raise ValueError("clear weather has zero intensity")
+        if self.kind != WeatherKind.CLEAR and self.intensity == 0.0:
+            raise ValueError(f"{self.kind.value} weather needs a non-zero intensity")
 
 
 CLEAR = WeatherCondition(WeatherKind.CLEAR, 0.0)
@@ -352,7 +354,7 @@ def apply_weather(frame: np.ndarray, weather: WeatherCondition, rng_seed: int) -
     speckle pattern is a pure function of ``rng_seed``.
     """
     w = weather.intensity
-    if weather.kind == WeatherKind.CLEAR or w == 0.0:
+    if weather.kind == WeatherKind.CLEAR:
         return frame.copy()
 
     rng = np.random.default_rng(rng_seed)

@@ -156,14 +156,14 @@ def test_criterion_3_gradient_oracle():
         rasters = rng.uniform(-1, 1, (2, 6))
         actions = rng.integers(0, 4, 2)
         targets = rng.uniform(-1, 1, 2)
-        mode = "train" if seed % 2 else "eval"  # exercise the dropout path too
+        dropout_seed = seed if seed % 2 else None  # exercise the dropout path too
 
-        def loss_fn(params, _m=mode, _s=seed):
+        def loss_fn(params, _s=dropout_seed):
             probe = nn.QNetwork(arch=arch, params=params)
-            q, _ = nn.forward_cached(probe, frames, rasters, mode=_m, dropout_seed=_s)
+            q, _ = nn.forward_cached(probe, frames, rasters, dropout_seed=_s)
             return nn.mse_loss_grad(q, targets, actions)[0]
 
-        q, cache = nn.forward_cached(net, frames, rasters, mode=mode, dropout_seed=seed)
+        q, cache = nn.forward_cached(net, frames, rasters, dropout_seed=dropout_seed)
         _, dq = nn.mse_loss_grad(q, targets, actions)
         grads = nn.backward(net, cache, dq)
         worst = max(worst, _check_all_gradients(loss_fn, net.params, grads))
@@ -205,19 +205,14 @@ def test_criterion_3_gradient_oracle():
 
 def test_criterion_4_decay_reproduction():
     started = time.time()
-    ddqn = decay_experiment(UpdateRule.DDQN, population=100, reward=-0.04,
-                            gamma=0.95, updates=500)
-    eddqn = decay_experiment(UpdateRule.EDDQN, population=100, reward=-0.04,
-                             gamma=0.95, updates=500)
+    ddqn = decay_experiment(UpdateRule.DDQN, reward=-0.04, gamma=0.95, updates=500)
+    eddqn = decay_experiment(UpdateRule.EDDQN, reward=-0.04, gamma=0.95, updates=500)
 
-    assert abs(ddqn.summary[-1, 2] - (-0.8)) < 1e-3
-    assert abs(eddqn.summary[-1, 2] - (-0.0205128)) < 1e-3
-    assert eddqn.summary[:, 0].min() >= -0.05
-    assert eddqn.summary[:, 4].max() <= 0.0
-    # population stays degenerate (identical states), so the median sequence
-    # being monotone non-increasing is exactly per-state monotonicity
-    assert np.all(ddqn.summary[:, 0] == ddqn.summary[:, 4])
-    assert np.all(np.diff(ddqn.summary[:, 2]) <= 1e-15)
+    assert abs(ddqn.values[-1] - (-0.8)) < 1e-3
+    assert abs(eddqn.values[-1] - (-0.0205128)) < 1e-3
+    assert eddqn.values.min() >= -0.05
+    assert eddqn.values.max() <= 0.0
+    assert np.all(np.diff(ddqn.values) <= 1e-15)
     assert time.time() - started < 5
     ok(4, "decay reproduction")
 

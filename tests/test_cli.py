@@ -107,7 +107,10 @@ class TestConfigHandling:
     @pytest.mark.parametrize("key, value", [("target_sync_every", 0),
                                             ("online_train_interval", 0),
                                             ("exploration_train_interval", 0),
-                                            ("gamma", 2)])
+                                            ("gamma", 2),
+                                            ("rule", "sarsa"),
+                                            ("rule", "drqnx"),
+                                            ("rule", "drqn0")])
     def test_bad_agent_value_is_a_usage_error(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "cfg", **{**TINY_TRAIN, key: value})
         out = tmp_path / "o"
@@ -122,7 +125,8 @@ class TestConfigHandling:
         (dict(dynamic_count=3), "dynamic obstacles only exist in the savanna domain"),
         (dict(world_width=0), "world dimensions must be positive"),
         (dict(weather="clear", intensity=0.15), "clear weather has zero intensity"),
-    ], ids=["forest-movers", "zero-width", "clear-with-intensity"])
+        (dict(weather="fog"), "fog weather needs a non-zero intensity"),
+    ], ids=["forest-movers", "zero-width", "clear-with-intensity", "fog-without-intensity"])
     @pytest.mark.parametrize("command", ["generate-world", "train", "evaluate"])
     def test_bad_world_or_weather_is_a_usage_error(self, tmp_path, capsys, command, values,
                                                     message):
@@ -347,6 +351,22 @@ class TestEvaluate:
                        "--checkpoint", str(broken), "--missions", "1,1:8,8", "--out", str(out))
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_with_other_adam_constants_is_a_usage_error(
+            self, tmp_path, capsys, trained_tiny):
+        with np.load(trained_tiny) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["adam"]["beta2"] = 0.99
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        other = tmp_path / "other.npz"
+        np.savez(other, **arrays)
+        out = tmp_path / "o"
+        code = run_cli("evaluate", "--config", write_config(tmp_path / "cfg", **EVAL_KEYS),
+                       "--checkpoint", str(other), "--missions", "1,1:8,8", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "beta2" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("checkpoint, rule, message", [

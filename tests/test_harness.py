@@ -33,37 +33,31 @@ from conftest import Disc, world_of
 class TestDecayExperiment:
     def test_ddqn_median_converges_to_its_fixed_point(self):
         result = decay_experiment(UpdateRule.DDQN, updates=500)
-        assert result.summary.shape == (501, 5)
-        assert abs(result.summary[-1, 2] - (-0.8)) < 1e-3
+        assert result.values.shape == (501,)
+        assert abs(result.values[-1] - (-0.8)) < 1e-3
 
     def test_eddqn_median_converges_near_zero(self):
         result = decay_experiment(UpdateRule.EDDQN, updates=500)
-        assert abs(result.summary[-1, 2] - (-0.0205128)) < 1e-3
+        assert abs(result.values[-1] - (-0.0205128)) < 1e-3
 
     def test_eddqn_iterates_stay_in_band(self):
         result = decay_experiment(UpdateRule.EDDQN, updates=500)
-        assert result.summary[:, 0].min() >= -0.05
-        assert result.summary[:, 4].max() <= 0.0
+        assert result.values.min() >= -0.05
+        assert result.values.max() <= 0.0
 
     def test_ddqn_is_monotone_non_increasing(self):
         result = decay_experiment(UpdateRule.DDQN, updates=300)
-        medians = result.summary[:, 2]
-        assert np.all(np.diff(medians) <= 1e-12)
+        assert np.all(np.diff(result.values) <= 1e-12)
 
     def test_zero_updates_is_the_identity(self):
         result = decay_experiment(UpdateRule.EDDQN, updates=0)
-        assert result.summary.shape == (1, 5)
-        assert np.allclose(result.summary[0], -0.04)
+        assert result.rule == "eddqn"
+        assert result.values.tolist() == [-0.04]
 
     def test_vanishing_alpha_changes_nothing(self):
         for rule in (UpdateRule.DDQN, UpdateRule.EDDQN):
             result = decay_experiment(rule, alpha=1e-9, updates=100)
-            assert np.all(np.abs(result.summary - (-0.04)) < 1e-6)
-
-    def test_population_is_configurable(self):
-        result = decay_experiment(UpdateRule.DDQN, population=100, updates=3)
-        assert result.rule == "ddqn"
-        assert result.initial_value == -0.04
+            assert np.all(np.abs(result.values - (-0.04)) < 1e-6)
 
 
 def sample_report(route=None):
@@ -129,12 +123,13 @@ class TestReportEmission:
         results = [decay_experiment(rule, updates=10)
                    for rule in (UpdateRule.DDQN, UpdateRule.EDDQN)]
         rows = list(csv.reader(io.StringIO(decay_results_to_csv(results))))
-        assert tuple(rows[0]) == DECAY_CSV_COLUMNS
+        assert tuple(rows[0]) == DECAY_CSV_COLUMNS == ("rule", "update", "q")
         ddqn_rows = [r for r in rows[1:] if r[0] == "ddqn"]
         eddqn_rows = [r for r in rows[1:] if r[0] == "eddqn"]
         assert len(ddqn_rows) == len(eddqn_rows) == 11  # initial row + 10 updates
         assert ddqn_rows[0][1] == "0"
-        assert float(ddqn_rows[0][4]) == -0.04
+        assert ddqn_rows[0][2] == "-0.04"
+        assert [float(r[2]) for r in ddqn_rows] == results[0].values.tolist()
 
     def test_emit_report_writes_both_files(self, tmp_path):
         paths = emit_report([sample_report()], tmp_path)

@@ -66,10 +66,18 @@ def test_no_module_imports_a_layer_above_it():
     assert not upward
 
 
+#: the kinds of use that count for a module-level name, a method or
+#: property, and an annotated class field
+NAME, ATTRIBUTE, STRING = "name", "attribute", "string"
+MODULE_LEVEL, MEMBER, FIELD = {NAME, ATTRIBUTE}, {ATTRIBUTE}, {ATTRIBUTE, STRING}
+
+
 def public_definitions(tree: ast.Module):
-    """``(label, name, node, is_member)`` of every public module-level
-    function, class and constant of ``tree``, and of every public method and
-    property of its module-level classes."""
+    """``(label, name, node, counted)`` of every public module-level
+    function, class and constant of ``tree``, of every public method and
+    property of its module-level classes, and of every public annotated
+    field of its public classes; ``counted`` holds the kinds of use that
+    keep the definition alive."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -79,32 +87,44 @@ def public_definitions(tree: ast.Module):
             names = [node.target.id]
         else:
             names = []
-        yield from ((name, name, node, False) for name in names if not name.startswith("_"))
+        yield from ((name, name, node, MODULE_LEVEL) for name in names
+                    if not name.startswith("_"))
         if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield f"{node.name}.{member.name}", member.name, member, True
+                if isinstance(member, ast.FunctionDef):
+                    name, counted = member.name, MEMBER
+                elif (isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+                      and not node.name.startswith("_")):
+                    name, counted = member.target.id, FIELD
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield f"{node.name}.{name}", name, member, counted
 
 
 def test_every_public_name_has_a_caller():
     """A module-level name counts as used where an ``ast.Name`` or
     ``ast.Attribute`` of it appears outside its own definition and outside
     ``__init__.py`` files; a method or property only where an
-    ``ast.Attribute`` of it does."""
+    ``ast.Attribute`` of it does; an annotated class field where an
+    ``ast.Attribute`` of it or a string constant equal to it does (fields
+    are also read by name, as in ``getattr(t, "reward")``)."""
     trees = {name: ast.parse(path.read_text(encoding="utf-8"))
              for name, path in MODULES.items() if path.name != "__init__.py"}
-    uses: dict[str, list[tuple[ast.AST, bool]]] = {}
+    uses: dict[str, list[tuple[ast.AST, str]]] = {}
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                uses.setdefault(node.id, []).append((node, False))
+                uses.setdefault(node.id, []).append((node, NAME))
             elif isinstance(node, ast.Attribute):
-                uses.setdefault(node.attr, []).append((node, True))
+                uses.setdefault(node.attr, []).append((node, ATTRIBUTE))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                uses.setdefault(node.value, []).append((node, STRING))
     uncalled = []
     for module, tree in trees.items():
-        for label, name, definition, is_member in public_definitions(tree):
+        for label, name, definition, counted in public_definitions(tree):
             own = {id(node) for node in ast.walk(definition)}
-            if not any(id(node) not in own and (is_attribute or not is_member)
-                       for node, is_attribute in uses.get(name, ())):
+            if not any(id(node) not in own and kind in counted
+                       for node, kind in uses.get(name, ())):
                 uncalled.append(f"{module}.{label}")
     assert not uncalled

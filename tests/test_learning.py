@@ -112,6 +112,22 @@ def fill_buffer(net, arch, count, rng, terminal_reward=None):
     return buf
 
 
+class TestRuleName:
+    @pytest.mark.parametrize("name, update_rule, trace_length", [
+        ("dqn", UpdateRule.DQN, None),
+        ("ddqn", UpdateRule.DDQN, None),
+        ("eddqn", UpdateRule.EDDQN, None),
+        ("drqn100", UpdateRule.DQN, 100),
+        ("DRQN7", UpdateRule.DQN, 7),
+    ])
+    def test_the_name_selects_the_update_rule_and_trace_length(self, name, update_rule,
+                                                                trace_length):
+        config = AgentConfig(rule=name)
+        assert config.rule == name.lower()
+        assert config.update_rule == update_rule
+        assert config.trace_length == trace_length
+
+
 class TestTrainStep:
     def test_underfilled_buffer_is_a_noop(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=0)
@@ -153,12 +169,15 @@ class TestTrainStep:
             losses.append(loss)
         assert losses[-1] < 0.05 * losses[0]
 
-    @pytest.mark.parametrize("arch_name", ["tiny_arch", "tiny_recurrent_arch"])
-    @pytest.mark.parametrize("rule", list(UpdateRule))
-    def test_an_update_changes_only_the_value_net(self, request, arch_name, rule):
+    # every (update rule, network) pair a rule name selects: a DRQN trains with DQN's
+    @pytest.mark.parametrize("rule, arch_name", [(UpdateRule.DQN, "tiny_arch"),
+                                                 (UpdateRule.DDQN, "tiny_arch"),
+                                                 (UpdateRule.EDDQN, "tiny_arch"),
+                                                 (UpdateRule.DQN, "tiny_recurrent_arch")])
+    def test_an_update_changes_only_the_value_net(self, request, rule, arch_name):
         arch = request.getfixturevalue(arch_name)
-        config = AgentConfig(batch_size=4, rule=rule,
-                             trace_length=5 if arch.recurrent else None)
+        config = AgentConfig(batch_size=4, rule="drqn5" if arch.recurrent else rule.value)
+        assert config.update_rule == rule
         net = nn.init_network(arch, seed=3)
         target = nn.clone_params(net)
         before = {k: v.copy() for k, v in target.params.items()}
@@ -182,7 +201,7 @@ class TestTrainStep:
     def test_recurrent_variant_needs_one_full_trace(self, tiny_recurrent_arch):
         net = nn.init_network(tiny_recurrent_arch, seed=4)
         rng = np.random.default_rng(4)
-        config = AgentConfig(batch_size=2, trace_length=5)
+        config = AgentConfig(batch_size=2, rule="drqn5")
         buf = ReplayBuffer(capacity=50)
         arch = tiny_recurrent_arch
         for episode in range(3):
@@ -308,7 +327,7 @@ class TestTrunkRows:
         net = nn.init_network(tiny_recurrent_arch, seed=11)
         t = random_transitions(tiny_recurrent_arch, 1, np.random.default_rng(11))[0]
         agent = Agent(value_net=net, target_net=net, adam=nn.init_adam(net.params),
-                        config=AgentConfig(trace_length=5))
+                        config=AgentConfig(rule="drqn5"))
         state = _State(local=None, facing=Action.NORTH, frame=t.frame,
                        digest=frame_digest(t.frame), raster=t.raster)
         want, _ = nn.forward_cached(net, t.frame[None, None], t.raster[None, None])

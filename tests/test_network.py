@@ -6,7 +6,7 @@ import pytest
 
 from conftest import finite_difference, relative_error
 from gridnav import nn
-from gridnav.nn import pool
+from gridnav.nn import optim, pool
 from gridnav.nn.model import _CHUNK, _POOL_MIN_FRAME
 
 
@@ -75,16 +75,16 @@ class TestForward:
     def test_eval_mode_is_deterministic(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=1)
         frames, rasters = rand_inputs(tiny_arch, 4)
-        a = forward(net, frames, rasters, mode="eval")
-        b = forward(net, frames, rasters, mode="eval")
+        a = forward(net, frames, rasters)
+        b = forward(net, frames, rasters)
         assert np.array_equal(a, b)
 
     def test_train_mode_dropout_is_seeded(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=1)
         frames, rasters = rand_inputs(tiny_arch, 4)
-        a = forward(net, frames, rasters, mode="train", dropout_seed=3)
-        b = forward(net, frames, rasters, mode="train", dropout_seed=3)
-        c = forward(net, frames, rasters, mode="train", dropout_seed=4)
+        a = forward(net, frames, rasters, dropout_seed=3)
+        b = forward(net, frames, rasters, dropout_seed=3)
+        c = forward(net, frames, rasters, dropout_seed=4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -104,8 +104,6 @@ class TestForward:
             forward(net, frames[:, :-1, :], rasters)
         with pytest.raises(ValueError):
             forward(net, frames, rasters[:, :-1])
-        with pytest.raises(ValueError):
-            forward(net, frames, rasters, mode="predict")
 
     def test_feature_split_matches_full_forward(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=3)
@@ -113,7 +111,7 @@ class TestForward:
         feats = nn.image_features(net, frames)
         assert feats.shape == (5, tiny_arch.image_features)
         q_split = nn.q_from_features(net, feats, rasters)
-        q_full = forward(net, frames, rasters, mode="eval")
+        q_full = forward(net, frames, rasters)
         assert np.allclose(q_split, q_full)
 
     def test_chunking_is_invisible(self, tiny_arch):
@@ -151,7 +149,7 @@ class TestPooledTrunk:
         frames, rasters = rand_inputs(arch, 8 * _CHUNK + 1, seed=2, dtype=np.float32)
 
         def grads():
-            q, cache = nn.forward_cached(net, frames, rasters, mode="train", dropout_seed=4)
+            q, cache = nn.forward_cached(net, frames, rasters, dropout_seed=4)
             return {k: v.tobytes() for k, v in nn.backward(net, cache, np.ones_like(q)).items()}
 
         interval = sys.getswitchinterval()
@@ -171,11 +169,10 @@ class TestPooledTrunk:
         targets = np.linspace(-1.0, 1.0, 2 * _CHUNK + 1)
 
         def loss(params):
-            q = forward(nn.QNetwork(arch, params), frames, rasters, mode="train",
-                           dropout_seed=5)
+            q = forward(nn.QNetwork(arch, params), frames, rasters, dropout_seed=5)
             return nn.mse_loss_grad(q, targets, actions)[0]
 
-        q, cache = nn.forward_cached(net, frames, rasters, mode="train", dropout_seed=5)
+        q, cache = nn.forward_cached(net, frames, rasters, dropout_seed=5)
         grads = nn.backward(net, cache, nn.mse_loss_grad(q, targets, actions)[1])
         rng = np.random.default_rng(0)
         for key, value in net.params.items():
@@ -273,9 +270,7 @@ class TestAdam:
     def test_defaults_match_training_setup(self):
         state = nn.init_adam({"w": np.zeros(3)})
         assert state.learning_rate == 0.001
-        assert state.beta1 == 0.9
-        assert state.beta2 == 0.999
-        assert state.epsilon == 1e-8
+        assert (optim.BETA1, optim.BETA2, optim.EPSILON) == (0.9, 0.999, 1e-8)
 
     def test_zero_gradient_is_identity(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}

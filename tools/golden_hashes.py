@@ -19,11 +19,14 @@ does.  The set:
   24x24 savanna with 3 moving obstacles (online updates every 5 steps,
   budget 40, seed 3), under snow, dust and fog at 0.30 and in clear weather;
 * ``evaluate`` of the ten-test sequence at scale 0.05, budget 12, seed 2;
+* ``train`` on the README task with ``rule = drqn4`` and ``batch_size = 4``,
+  seed 7, three episodes, and ``evaluate`` of that checkpoint on the first
+  listed savanna mission (budget 40, seed 3);
 * ``decay`` with 50 updates;
 * ``generate-world`` of a 30x30 savanna with 3 moving obstacles, world
   seed 5.
 
-About 40 s on two cores.  Exits 1 when a command returns an exit code
+About 60 s on two cores.  Exits 1 when a command returns an exit code
 it should not.
 """
 
@@ -46,6 +49,10 @@ EVAL_CONFIG = ("domain = savanna", "world_width = 24", "world_height = 24",
                "dynamic_count = 3", "online_train_interval = 5")
 MISSIONS = "1,1:20,18;2,2:15,20"
 CHECKPOINT = os.path.join("train-eddqn", "checkpoint.npz")
+#: the recurrent rule, with batches small enough to train within three episodes
+DRQN = ("rule = drqn4", "batch_size = 4")
+CONFIGS = {"train.cfg": TRAIN_CONFIG, "eval.cfg": EVAL_CONFIG,
+           "train-drqn.cfg": TRAIN_CONFIG + DRQN, "eval-drqn.cfg": EVAL_CONFIG + DRQN}
 
 
 def runs() -> list[tuple[list[str], tuple[int, ...]]]:
@@ -63,6 +70,11 @@ def runs() -> list[tuple[list[str], tuple[int, ...]]]:
                     "--budget", "40", "--seed", "3", "--out", "eval-clear"], (0,)))
     listed.append(([*evaluate, "--scale", "0.05", "--budget", "12", "--seed", "2",
                     "--out", "sequence"], (0,)))
+    listed.append((["train", "--config", "train-drqn.cfg", "--seed", "7", "--episodes", "3",
+                    "--out", "train-drqn4"], (0, 3)))
+    listed.append((["evaluate", "--checkpoint", os.path.join("train-drqn4", "checkpoint.npz"),
+                    "--config", "eval-drqn.cfg", "--missions", MISSIONS.split(";")[0],
+                    "--budget", "40", "--seed", "3", "--out", "eval-drqn4"], (0,)))
     listed.append((["decay", "--updates", "50", "--out", "decay"], (0,)))
     listed.append((["generate-world", "--domain", "savanna", "--width", "30", "--height", "30",
                     "--dynamic-count", "3", "--world-seed", "5", "--out", "world"], (0,)))
@@ -83,7 +95,7 @@ def main() -> int:
         cwd = os.getcwd()
         os.chdir(root)
         try:
-            for name, lines in (("train.cfg", TRAIN_CONFIG), ("eval.cfg", EVAL_CONFIG)):
+            for name, lines in CONFIGS.items():
                 with open(name, "w", encoding="utf-8") as fh:
                     fh.write("\n".join(lines) + "\n")
             for argv, allowed in runs():
