@@ -65,18 +65,16 @@ def frame_digest(frame: np.ndarray) -> bytes:
     return hashlib.sha256(np.ascontiguousarray(frame)).digest()
 
 
-def trunk_rows(net: nn.QNetwork, frames: list[np.ndarray], digests: list[bytes],
-               cache: dict[bytes, np.ndarray]) -> np.ndarray:
+def trunk_rows(net: nn.QNetwork, frames: list[np.ndarray], digests: list[bytes]) -> np.ndarray:
     """Eval-mode image-trunk rows of ``frames``, (B, image_features).
 
-    Rows are looked up in ``cache`` by frame digest; the distinct misses go
-    through the trunk in one batched pass and are added to it.  The cache is
-    only valid while ``net`` is unchanged.
+    Rows are looked up in ``net.rows`` by frame digest; the distinct misses
+    go through the trunk in one batched pass and are added to it.
     """
-    missing = {digest: frame for frame, digest in zip(frames, digests) if digest not in cache}
+    missing = {digest: frame for frame, digest in zip(frames, digests) if digest not in net.rows}
     if missing:
-        cache.update(zip(missing, nn.image_features(net, np.stack(list(missing.values())))))
-    return np.array([cache[digest] for digest in digests])
+        net.rows.update(zip(missing, nn.image_features(net, np.stack(list(missing.values())))))
+    return np.array([net.rows[digest] for digest in digests])
 
 
 def _stacked(batch: list[list[Transition]], name: str) -> np.ndarray:
@@ -84,12 +82,10 @@ def _stacked(batch: list[list[Transition]], name: str) -> np.ndarray:
     return np.array([[getattr(t, name) for t in trace] for trace in batch])
 
 
-def _next_state_q(net: nn.QNetwork, batch: list[list[Transition]],
-                  rows: dict[bytes, np.ndarray]) -> np.ndarray:
-    """Eval-mode Q on the batch's next states, (B, T, num_actions), their
-    trunk rows served from ``rows``."""
+def _next_state_q(net: nn.QNetwork, batch: list[list[Transition]]) -> np.ndarray:
+    """Eval-mode Q on the batch's next states, (B, T, num_actions)."""
     steps = [t for trace in batch for t in trace]
-    feats = trunk_rows(net, [t.next_frame for t in steps], [t.next_digest for t in steps], rows)
+    feats = trunk_rows(net, [t.next_frame for t in steps], [t.next_digest for t in steps])
     return nn.q_from_features(net, feats.reshape(len(batch), -1, feats.shape[1]),
                               _stacked(batch, "next_raster"))
 
@@ -100,20 +96,10 @@ def compute_targets(
     value_net: nn.QNetwork,
     target_net: nn.QNetwork,
     gamma: float,
-    target_rows: dict[bytes, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Eval-mode TD targets (B*T,) of B traces of T transitions, batch-major.
-
-    ``target_rows`` caches the target net's trunk rows across calls; the
-    caller clears it whenever the target net changes.
-    """
-    q_tgt = _next_state_q(target_net, batch, {} if target_rows is None else target_rows)
-    if rule == UpdateRule.DQN:
-        q_val = q_tgt
-    else:
-        # the value net changed last step, so its rows only dedupe within
-        # this one batch
-        q_val = _next_state_q(value_net, batch, {})
+    """Eval-mode TD targets (B*T,) of B traces of T transitions, batch-major."""
+    q_tgt = _next_state_q(target_net, batch)
+    q_val = q_tgt if rule == UpdateRule.DQN else _next_state_q(value_net, batch)
     actions = q_tgt.shape[-1]
     return td_targets(
         rule,
@@ -133,7 +119,6 @@ def train_step(
     adam: nn.AdamState,
     config: AgentConfig,
     rng: np.random.Generator,
-    target_rows: dict[bytes, np.ndarray] | None = None,
 ):
     """One mini-batch update of the value network on B sampled traces.
 
@@ -150,8 +135,7 @@ def train_step(
         batch = None
     if batch is None:
         return None
-    targets = compute_targets(config.update_rule, batch, value_net, target_net, config.gamma,
-                              target_rows=target_rows)
+    targets = compute_targets(config.update_rule, batch, value_net, target_net, config.gamma)
     q, cache = nn.forward_cached(value_net, _stacked(batch, "frame"), _stacked(batch, "raster"),
                                  dropout_seed=int(rng.integers(0, 2**63)))
     loss, dq = nn.mse_loss_grad(q.reshape(-1, q.shape[-1]), targets.astype(q.dtype),

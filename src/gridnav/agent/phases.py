@@ -13,16 +13,17 @@ learning online from the replay buffer as it flies.
 
 One :class:`Agent` holds the learner through both phases: its nets, Adam
 state and config, which a checkpoint keeps, plus what one phase gathers
-(replay buffer, update count, trunk-row caches).  A mission flies a
-fresh-phase copy, ``dataclasses.replace(agent)``: the same nets with an
-empty buffer, no updates yet and empty caches.
+(replay buffer, update count).  A mission flies a fresh-phase copy,
+``dataclasses.replace(agent)``: the same nets with an empty buffer and no
+updates yet.  The copy shares its nets' trunk rows, which is safe because
+a row is a pure function of the frame and the weights.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -110,10 +111,10 @@ class Agent:
     """The learner of both phases.
 
     Its fields are what a checkpoint keeps.  ``__post_init__`` sets what one
-    phase gathers: the replay buffer, the update count, and the image-trunk
-    rows of both nets keyed by frame digest: the value net's, which answer
-    action selection, until its next update, and the target net's, which
-    feed the TD targets, until its next sync.
+    phase gathers: the replay buffer and the update count.  The image-trunk
+    rows belong to the nets (``nn.QNetwork.rows``): the value net's answer
+    action selection and the double rules' next-state reads until its next
+    update, and the target net's feed the TD targets until its next sync.
     """
 
     value_net: nn.QNetwork
@@ -124,8 +125,6 @@ class Agent:
     def __post_init__(self) -> None:
         self.buffer = ReplayBuffer(self.config.replay_capacity)
         self.train_steps = 0
-        self._value_rows: dict[bytes, np.ndarray] = {}
-        self._target_rows: dict[bytes, np.ndarray] = {}
 
     @classmethod
     def new(cls, config: AgentConfig, seed: int,
@@ -144,36 +143,34 @@ class Agent:
 
     @classmethod
     def load(cls, path, config: AgentConfig) -> Agent:
-        """The checkpoint at ``path`` under ``config``; raises ValueError when
-        its net is not the kind (feedforward or recurrent) the rule needs."""
+        """The checkpoint at ``path`` under ``config``, whose learning rate
+        replaces the checkpoint's; raises ValueError when its net is not the
+        kind (feedforward or recurrent) the rule needs."""
         net, adam, _ = nn.load_checkpoint(path)
         if net.arch.recurrent != (config.trace_length is not None):
             kinds = ("feedforward", "recurrent")
             raise ValueError(f"holds a {kinds[net.arch.recurrent]} network, rule "
                              f"{config.rule} needs a {kinds[not net.arch.recurrent]} one")
-        if adam is None:
-            adam = nn.init_adam(net.params, learning_rate=config.learning_rate)
+        adam = replace(adam or nn.init_adam(net.params), learning_rate=config.learning_rate)
         return cls(net, nn.clone_params(net), adam, config)
 
     def q_values(self, state: _State) -> np.ndarray:
         """The value net's eval-mode Q-values at ``state``, as a one-step
         trace: a recurrent net's LSTM starts from the zero state."""
-        rows = trunk_rows(self.value_net, [state.frame], [state.digest], self._value_rows)
+        rows = trunk_rows(self.value_net, [state.frame], [state.digest])
         return nn.q_from_features(self.value_net, rows, state.raster[None])[0]
 
     def update(self, rng: np.random.Generator) -> float | None:
         """One mini-batch update, or None when the buffer holds no batch or
         trace yet (``train_step`` then leaves ``rng`` untouched)."""
         result = train_step(self.buffer, self.value_net, self.target_net, self.adam,
-                            self.config, rng, target_rows=self._target_rows)
+                            self.config, rng)
         if result is None:
             return None
         self.value_net, self.adam, loss = result
-        self._value_rows.clear()
         self.train_steps += 1
         if self.train_steps % self.config.target_sync_every == 0:
             self.target_net = nn.clone_params(self.value_net)
-            self._target_rows.clear()
         return loss
 
     def update_every(self, step: int, interval: int | None,
@@ -185,10 +182,9 @@ class Agent:
 
 
 class _State(NamedTuple):
-    """The agent between two decisions: its decision map, heading and view."""
+    """The agent between two decisions: its decision map and view."""
 
     local: LocalMap
-    facing: Action
     frame: np.ndarray
     digest: bytes  # frame_digest(frame), taken once per rendered frame
     raster: np.ndarray
@@ -202,9 +198,9 @@ class _State(NamedTuple):
         return self.local.agent_local == self.local.target_cell
 
 
-def _observed(local: LocalMap, facing: Action, frame: np.ndarray) -> _State:
+def _observed(local: LocalMap, frame: np.ndarray) -> _State:
     """The state that sees ``frame``, with its digest and the map's raster."""
-    return _State(local, facing, frame, frame_digest(frame), render_decision_map(local))
+    return _State(local, frame, frame_digest(frame), render_decision_map(local))
 
 
 def _sensed_local_map(local: LocalMap, world: World, goal: GridCoord
@@ -250,7 +246,7 @@ def _transition(agent: Agent, state: _State, world: World, goal: GridCoord,
         nxt, sensed = state, set()
     else:
         next_local, sensed = _sensed_local_map(apply_move(local, action), world, goal)
-        nxt = _observed(next_local, action, render(next_local.agent_global, action))
+        nxt = _observed(next_local, render(next_local.agent_global, action))
     # terminal at the target cell: inside a decision map the goal is always
     # the target cell, so this also covers reaching the goal
     agent.buffer.push(
@@ -299,7 +295,7 @@ def run_exploration_phase(env: NavigationEnv, agent: Agent, seed: int,
     for episode in range(1, config.max_episodes + 1):
         spawn = GridCoord(*free_cells[int(rng.integers(len(free_cells)))].tolist())
         local, _ = _spawn(spawn, world, env.goal)
-        state = _observed(local, Action.NORTH, render(local.agent_global, Action.NORTH))
+        state = _observed(local, render(local.agent_global, Action.NORTH))
         reward_sum = 0.0
         steps = 0
         losses = []
@@ -397,7 +393,7 @@ def run_exploitation_phase(
     # decision 1 sees the world one step after the spawn, like every later
     # decision sees it one step after the previous one
     world = advanced(world)
-    state = _observed(local, Action.NORTH, observe(world, env.start, Action.NORTH, 1))
+    state = _observed(local, observe(world, env.start, Action.NORTH, 1))
     route = [env.start]
     counts = {PolicyDecision.PREDICTED: 0, PolicyDecision.CORRECTED: 0, PolicyDecision.RANDOM: 0}
     episode_id = 0

@@ -2,7 +2,8 @@
 
 A mission pairs a procedurally generated world with start/goal endpoints
 and a weather condition.  The runner flies a fresh-phase copy of the agent
-(the same nets with an empty buffer, no updates yet and empty caches)
+(the same nets with an empty buffer and no updates yet; it shares their
+trunk rows, which are a pure function of the frame and the weights)
 through the continuous-flight phase and returns its report with the
 updated agent; the parameters keep learning online, and the updated agent
 threads forward through a test sequence (the models are intentionally

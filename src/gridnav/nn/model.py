@@ -75,8 +75,15 @@ class ArchitectureSpec:
 
 @dataclass
 class QNetwork:
+    """An architecture, its parameters, and ``rows``: the eval-mode trunk
+    rows this net has computed, keyed by frame digest.  Nothing in ``src/``
+    writes a built net's arrays: an update returns a new net and a target
+    sync clones one, each with no rows yet, so a net's rows never go stale.
+    """
+
     arch: ArchitectureSpec
     params: dict[str, np.ndarray] = field(default_factory=dict)
+    rows: dict[bytes, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
@@ -146,6 +153,15 @@ def _dropout_mask(arch: ArchitectureSpec, rows: int, seed: int, dtype) -> np.nda
     return keep.astype(dtype) / dtype.type(1.0 - arch.dropout_rate)
 
 
+def _dense_rows(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``x @ weight + bias`` with rows that do not depend on how many share
+    the product: numpy's float32 ``@`` rounds a 1-row product (a GEMV)
+    differently from the same row inside a GEMM, so a lone row runs as a
+    2-row GEMM of itself twice and keeps row 0."""
+    z, _ = layers.dense_forward(np.concatenate([x, x]) if len(x) == 1 else x, weight, bias)
+    return z[: len(x)]
+
+
 def _trunk_forward(net: QNetwork, frames: np.ndarray, drop_mask: np.ndarray | None,
                    want_cache: bool):
     """Image trunk for one chunk.  ``frames`` is (B, H, W)."""
@@ -160,11 +176,9 @@ def _trunk_forward(net: QNetwork, frames: np.ndarray, drop_mask: np.ndarray | No
             stages.append((act, pool_cache))
         act = pooled
     flat = act.reshape(act.shape[0], -1)
-    z1, _ = layers.dense_forward(flat, p["dense1_w"], p["dense1_b"])
-    a1, md1 = layers.relu_forward(z1)
+    a1, md1 = layers.relu_forward(_dense_rows(flat, p["dense1_w"], p["dense1_b"]))
     a1d = a1 * drop_mask if drop_mask is not None else a1
-    z2, _ = layers.dense_forward(a1d, p["dense2_w"], p["dense2_b"])
-    img, md2 = layers.relu_forward(z2)
+    img, md2 = layers.relu_forward(_dense_rows(a1d, p["dense2_w"], p["dense2_b"]))
     cache = (stages, flat, md1, drop_mask, a1d, md2) if want_cache else None
     return img, cache
 
@@ -228,7 +242,8 @@ def _on_pool(net: QNetwork, chunks: int) -> bool:
 
 
 def image_features(net: QNetwork, frames: np.ndarray) -> np.ndarray:
-    """Eval-mode trunk output, (B, image_features).  Cacheable per frame."""
+    """Eval-mode trunk output, (B, image_features).  Each row is a function
+    of its frame and the weights alone, whatever else shares the pass."""
     dtype = net.params["head_w"].dtype
     img, _ = _trunk(net, np.ascontiguousarray(frames, dtype=dtype), None, want_cache=False)
     return img

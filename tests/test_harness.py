@@ -260,3 +260,12 @@ class TestMissions:
             assert np.array_equal(restored.adam.m[key], agent.adam.m[key])
             assert np.array_equal(restored.adam.v[key], agent.adam.v[key])
         assert restored.adam.step == agent.adam.step
+
+    def test_load_takes_the_configs_learning_rate(self, tmp_path, phase_arch):
+        config = AgentConfig(learning_rate=0.01)
+        agent = Agent.new(config, seed=0, arch=phase_arch)
+        path = tmp_path / "agent.npz"
+        agent.save(path)
+        restored = Agent.load(path, dataclasses.replace(config, learning_rate=0.002))
+        assert restored.adam.learning_rate == 0.002
+        assert agent.adam.learning_rate == 0.01

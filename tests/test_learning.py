@@ -7,7 +7,6 @@ from gridnav import nn
 from gridnav.agent import AgentConfig, UpdateRule, compute_targets, td_targets, train_step
 from gridnav.agent.learning import frame_digest, trunk_rows
 from gridnav.agent.phases import Agent, _State
-from gridnav.mapping import Action
 from gridnav.agent.replay import ReplayBuffer, Transition
 
 ALL_VALID = np.ones((1, 4), dtype=bool)
@@ -277,6 +276,7 @@ class TestTrunkRows:
     @pytest.mark.parametrize("rule", list(UpdateRule))
     def test_a_shared_target_cache_gives_the_targets_of_a_fresh_one(self, request, arch_name,
                                                                     rule):
+        # rows filled by the first batch and half the second serve the whole second
         arch = request.getfixturevalue(arch_name)
         steps = 3 if arch.recurrent else 1
         value = nn.init_network(arch, seed=7)
@@ -284,10 +284,12 @@ class TestTrunkRows:
         rng = np.random.default_rng(7)
         first = [random_transitions(arch, steps, rng) for _ in range(4)]
         second = [random_transitions(arch, steps, rng) for _ in range(4)]
-        shared: dict = {}
-        compute_targets(rule, first, value, target, 0.95, target_rows=shared)
-        got = compute_targets(rule, second, value, target, 0.95, target_rows=shared)
-        want = compute_targets(rule, second, value, target, 0.95, target_rows={})
+        fresh_value, fresh_target = nn.clone_params(value), nn.clone_params(target)
+        compute_targets(rule, first, value, target, 0.95)
+        compute_targets(rule, second[:2], value, target, 0.95)
+        assert target.rows
+        got = compute_targets(rule, second, value, target, 0.95)
+        want = compute_targets(rule, second, fresh_value, fresh_target, 0.95)
         assert np.array_equal(got, want)
 
     def test_identical_frames_share_one_row(self, tiny_arch, monkeypatch):
@@ -300,13 +302,50 @@ class TestTrunkRows:
         image_features = nn.image_features
         monkeypatch.setattr(nn, "image_features",
                             lambda net, x: passes.append(len(x)) or image_features(net, x))
-        cache: dict = {}
-        rows = trunk_rows(net, frames, [frame_digest(f) for f in frames], cache)
+        rows = trunk_rows(net, frames, [frame_digest(f) for f in frames])
         assert passes == [2]  # one batched pass over the distinct misses
+        assert len(net.rows) == 2
         assert np.array_equal(rows[0], rows[2])
-        assert np.allclose(rows, image_features(net, np.stack(frames)), rtol=0, atol=1e-6)
-        trunk_rows(net, [b], [frame_digest(b)], cache)
+        assert np.array_equal(rows, image_features(net, np.stack(frames)))
+        trunk_rows(net, [b], [frame_digest(b)])
         assert passes == [2]
+
+    @pytest.mark.parametrize("rule", [UpdateRule.DDQN, UpdateRule.EDDQN])
+    def test_double_rule_targets_reuse_the_action_selection_rows(self, tiny_arch, monkeypatch,
+                                                                 rule):
+        net = nn.init_network(tiny_arch, seed=12)
+        agent = Agent(value_net=net, target_net=nn.clone_params(net),
+                      adam=nn.init_adam(net.params), config=AgentConfig(rule=rule.value))
+        seen, unseen = random_transitions(tiny_arch, 2, np.random.default_rng(12))
+        state = _State(local=None, frame=seen.next_frame, digest=seen.next_digest,
+                       raster=seen.next_raster)
+        agent.q_values(state)
+        names = {id(agent.value_net): "value", id(agent.target_net): "target"}
+        passes = []
+        image_features = nn.image_features
+        monkeypatch.setattr(nn, "image_features", lambda net, x: (
+            passes.append((names[id(net)], len(x))) or image_features(net, x)))
+        compute_targets(rule, [[seen], [unseen]], agent.value_net, agent.target_net, 0.95)
+        # the target net computes both rows, the value net only the one it had not seen
+        assert passes == [("target", 2), ("value", 1)]
+
+    def test_an_update_and_a_sync_start_nets_with_no_rows(self, tiny_arch):
+        net = nn.init_network(tiny_arch, seed=13)
+        rng = np.random.default_rng(13)
+        agent = Agent(value_net=net, target_net=nn.clone_params(net),
+                      adam=nn.init_adam(net.params),
+                      config=AgentConfig(rule="ddqn", batch_size=2, target_sync_every=2))
+        agent.buffer = fill_buffer(net, tiny_arch, 4, rng, terminal_reward=1.0)
+        t = agent.buffer._items[0]
+        state = _State(local=None, frame=t.frame, digest=frame_digest(t.frame), raster=t.raster)
+        agent.q_values(state)
+        assert agent.update(rng) is not None
+        assert agent.value_net is not net and not agent.value_net.rows
+        assert net.rows and agent.target_net.rows  # the replaced net keeps its rows
+        agent.q_values(state)
+        assert agent.value_net.rows
+        assert agent.update(rng) is not None  # the second update syncs the target
+        assert not agent.value_net.rows and not agent.target_net.rows
 
     def test_action_values_follow_every_update(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=10)
@@ -315,8 +354,8 @@ class TestTrunkRows:
                         adam=nn.init_adam(net.params), config=AgentConfig(batch_size=2))
         agent.buffer = fill_buffer(net, tiny_arch, 4, rng, terminal_reward=1.0)
         t = agent.buffer._items[0]
-        state = _State(local=None, facing=Action.NORTH, frame=t.frame,
-                       digest=frame_digest(t.frame), raster=t.raster)
+        state = _State(local=None, frame=t.frame, digest=frame_digest(t.frame),
+                       raster=t.raster)
         for _ in range(3):
             want, _ = nn.forward_cached(agent.value_net, t.frame[None], t.raster[None])
             assert np.array_equal(agent.q_values(state), want[0])
@@ -328,7 +367,7 @@ class TestTrunkRows:
         t = random_transitions(tiny_recurrent_arch, 1, np.random.default_rng(11))[0]
         agent = Agent(value_net=net, target_net=net, adam=nn.init_adam(net.params),
                         config=AgentConfig(rule="drqn5"))
-        state = _State(local=None, facing=Action.NORTH, frame=t.frame,
-                       digest=frame_digest(t.frame), raster=t.raster)
+        state = _State(local=None, frame=t.frame, digest=frame_digest(t.frame),
+                       raster=t.raster)
         want, _ = nn.forward_cached(net, t.frame[None, None], t.raster[None, None])
         assert np.array_equal(agent.q_values(state), want[0, 0])

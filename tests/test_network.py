@@ -1,3 +1,4 @@
+import contextlib
 import sys
 from dataclasses import replace
 
@@ -142,6 +143,23 @@ class TestPooledTrunk:
         assert nn.image_features(net, frames).tobytes() == ref.tobytes()
         q, _ = nn.forward_cached(net, frames, rasters)
         assert q.tobytes() == nn.q_from_features(net, ref, rasters).tobytes()
+
+    @pytest.mark.parametrize("one_blas_thread", [False, True])
+    def test_a_row_does_not_depend_on_its_pass(self, one_blas_thread):
+        # a 1-row product rounds differently from a GEMM row unless the
+        # trunk runs it as a GEMM too
+        arch = nn.ArchitectureSpec()
+        net = nn.init_network(arch, seed=24)
+        frames, _ = rand_inputs(arch, 24, seed=24, dtype=np.float32)
+        whole = nn.image_features(net, frames)
+        differing = []
+        with pool.one_blas_thread() if one_blas_thread else contextlib.nullcontext():
+            for size in range(1, 2 * _CHUNK + 2):
+                for offset in (0, 5, 11):
+                    rows = nn.image_features(net, frames[offset : offset + size])
+                    differing += [(size, offset + i) for i in range(size)
+                                  if rows[i].tobytes() != whole[offset + i].tobytes()]
+        assert differing == []
 
     def test_backward_does_not_depend_on_scheduling(self, monkeypatch):
         arch = nn.ArchitectureSpec()
