@@ -14,6 +14,7 @@ the episode cap without converging.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -22,12 +23,11 @@ from .agent import Agent, AgentConfig, NavigationEnv, UpdateRule, run_exploratio
     write_training_log
 from .harness import (
     MissionSpec,
+    build_test_sequence,
     decay_experiment,
-    decay_results_to_csv,
     emit_report,
     route_trace_svg,
     run_mission,
-    run_test_sequence,
 )
 from .mapping import GridCoord
 from .world import (
@@ -77,12 +77,14 @@ class RunConfig(AgentConfig):
     # decay experiment
     decay_updates: int = 500
     decay_alpha: float = 0.5
-    decay_reward: float = -0.04
-    decay_gamma: float = 0.95
 
     def __post_init__(self) -> None:
-        # reject bad agent, world and weather values before any command runs
+        # reject bad agent, world, weather and decay values before any command runs
         super().__post_init__()
+        if self.decay_updates < 0:
+            raise ValueError("decay_updates must be >= 0")
+        if not 0.0 < self.decay_alpha <= 1.0:
+            raise ValueError("decay_alpha must be in (0, 1]")
         self.world_spec()
         self.weather_condition()
 
@@ -268,22 +270,15 @@ def cmd_evaluate(config: RunConfig) -> int:
         return EXIT_USAGE
     out = _ensure_out(config)
 
+    # run_mission is looked up in this module, where perfbench hooks it
     reports = []
-    if missions:
-        for spec in missions:
-            report, agent, env = run_mission(spec, agent)
-            reports.append(report)
-            svg_path = os.path.join(out, f"route_{spec.name}.svg")
-            with open(svg_path, "w", encoding="utf-8") as fh:
-                fh.write(route_trace_svg(report, env.world, start=spec.start,
-                                         goal=spec.goal))
-    else:
-        reports, _ = run_test_sequence(
-            agent,
-            config.seed,
-            scale=config.sequence_scale,
-            obstacle_density=config.obstacle_density,
-        )
+    for spec in missions or build_test_sequence(config.seed, scale=config.sequence_scale,
+                                                obstacle_density=config.obstacle_density):
+        report, agent, env = run_mission(spec, agent)
+        reports.append(report)
+        if missions:
+            with open(os.path.join(out, f"route_{spec.name}.svg"), "w", encoding="utf-8") as fh:
+                fh.write(route_trace_svg(report, env.world, start=spec.start, goal=spec.goal))
     paths = emit_report(reports, out)
     completed = sum(r.completed for r in reports)
     print(f"wrote {paths['csv']} and {paths['json']}: "
@@ -293,21 +288,17 @@ def cmd_evaluate(config: RunConfig) -> int:
 
 def cmd_decay(config: RunConfig) -> int:
     out = _ensure_out(config)
-    results = [
-        decay_experiment(
-            rule,
-            reward=config.decay_reward,
-            gamma=config.decay_gamma,
-            alpha=config.decay_alpha,
-            updates=config.decay_updates,
-        )
-        for rule in (UpdateRule.DDQN, UpdateRule.EDDQN)
-    ]
+    values = {rule.value: decay_experiment(rule, config.gamma, config.decay_alpha,
+                                           config.decay_updates)
+              for rule in (UpdateRule.DDQN, UpdateRule.EDDQN)}
     path = os.path.join(out, "decay.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(decay_results_to_csv(results))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("rule", "update", "q"))
+        for rule, qs in values.items():
+            writer.writerows((rule, update, repr(q)) for update, q in enumerate(qs.tolist()))
     print(f"wrote {path}: values after {config.decay_updates} updates "
-          + ", ".join(f"{r.rule}={r.values[-1]:.6f}" for r in results))
+          + ", ".join(f"{rule}={qs[-1]:.6f}" for rule, qs in values.items()))
     return EXIT_OK
 
 

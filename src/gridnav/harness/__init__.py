@@ -1,19 +1,15 @@
-"""Evaluation harness: missions, test sequences, decay experiment, reports."""
+"""Evaluation harness: missions, test sequences, tabular backups, reports."""
 
-from .decay import decay_experiment
+from .decay import backup, decay_experiment
 from .missions import (
     MissionSpec,
     TEST_SEQUENCE,
     build_test_sequence,
     run_mission,
-    run_test_sequence,
 )
 from .reports import (
-    DECAY_CSV_COLUMNS,
-    DecayExperimentResult,
     MISSION_CSV_COLUMNS,
     MissionReport,
-    decay_results_to_csv,
     emit_report,
     mission_reports_to_csv,
     mission_reports_to_json,
@@ -21,19 +17,16 @@ from .reports import (
 )
 
 __all__ = [
-    "DECAY_CSV_COLUMNS",
-    "DecayExperimentResult",
     "MISSION_CSV_COLUMNS",
     "MissionReport",
     "MissionSpec",
     "TEST_SEQUENCE",
+    "backup",
     "build_test_sequence",
     "decay_experiment",
-    "decay_results_to_csv",
     "emit_report",
     "mission_reports_to_csv",
     "mission_reports_to_json",
     "route_trace_svg",
     "run_mission",
-    "run_test_sequence",
 ]

@@ -1,9 +1,14 @@
-"""Scalar Q-value decay under repeated replay of one transition.
+"""Exact tabular backups through the shipped update rule's targets.
 
-Strips the networks away and runs the shipped update rule's targets
-(``agent.learning.td_targets``) on one scalar Q-state whose own value feeds
-its bootstrap term (what happens when the same transition is drawn from a
-small replay buffer over and over):
+A Q-table stands in for both nets: every sweep feeds each state-action
+pair's next-state row to ``agent.learning.td_targets`` and steps the table
+toward the targets, ``q <- q + a * (target - q)``.  At a = 1 that is value
+iteration, where DDQN's argmax-then-evaluate equals DQN's max.
+
+The decay experiment is the one-state case: one action that loops on its
+own state, never terminal, paying the valid-move reward r, so the state's
+value feeds its own bootstrap term (what happens when the same transition
+is drawn from a small replay buffer over and over):
 
     additive rule:     q <- q + a * ((r + g * q) - q)
     subtractive rule:  q <- q + a * ((r - g * q) - q)
@@ -21,31 +26,34 @@ import numpy as np
 
 from ..agent.config import UpdateRule
 from ..agent.learning import td_targets
-from .reports import DecayExperimentResult
+from ..mapping import REWARD_VALID
 
 
-def decay_experiment(
-    rule: UpdateRule,
-    reward: float = -0.04,
-    gamma: float = 0.95,
-    alpha: float = 0.5,
-    updates: int = 500,
-) -> DecayExperimentResult:
-    """Iterate the rule's self-referential update on one state.
+def backup(rule: UpdateRule, rewards: np.ndarray, next_state: np.ndarray,
+           terminal: np.ndarray, valid: np.ndarray, q: np.ndarray, gamma: float,
+           alpha: float, sweeps: int) -> np.ndarray:
+    """``sweeps`` backups of the (S, A) table ``q``, (sweeps + 1, S, A).
 
-    The state starts at the one-step reward.  Returns its value after each
-    update; index 0 is the initial value, so there are ``updates + 1``.
+    Taking action a in state s pays ``rewards[s, a]`` and leads to state
+    ``next_state[s, a]``, or ends the episode where ``terminal[s, a]``;
+    ``valid[s]`` masks the actions of state s.  Index 0 is ``q`` itself.
     """
-    if updates < 0:
-        raise ValueError("updates must be >= 0")
-    q = rewards = np.full(1, reward, dtype=np.float64)
-    values = [q[0]]
-    # one action, always valid, never terminal: the replayed state is its
-    # own next state under both nets
-    terminals = np.zeros(1, dtype=bool)
-    valid = np.ones((1, 1), dtype=bool)
-    for _ in range(updates):
-        target = td_targets(rule, rewards, terminals, q[:, None], q[:, None], valid, gamma)
-        q = q + alpha * (target - q)
-        values.append(q[0])
-    return DecayExperimentResult(rule=rule.value, values=np.array(values))
+    nxt = np.ravel(next_state)
+    rewards, terminal = np.ravel(rewards), np.ravel(terminal)
+    valid_next = np.asarray(valid, dtype=bool)[nxt]
+    tables = [np.asarray(q, dtype=np.float64)]
+    for _ in range(sweeps):
+        q = tables[-1]
+        q_next = q[nxt]
+        target = td_targets(rule, rewards, terminal, q_next, q_next, valid_next, gamma)
+        tables.append(q + alpha * (target.reshape(q.shape) - q))
+    return np.array(tables)
+
+
+def decay_experiment(rule: UpdateRule, gamma: float, alpha: float, updates: int) -> np.ndarray:
+    """The replayed state's value after each update, (updates + 1,); index 0
+    is its initial value, the one-step reward."""
+    table = np.full((1, 1), REWARD_VALID)
+    # one action, always valid, never terminal, whose next state is its own
+    return backup(rule, table, np.zeros((1, 1), dtype=int), np.zeros((1, 1), dtype=bool),
+                  np.ones((1, 1), dtype=bool), table, gamma, alpha, updates)[:, 0, 0]

@@ -35,7 +35,6 @@ class MissionSpec:
     start: GridCoord
     goal: GridCoord
     weather: WeatherCondition = CLEAR
-    target_distance: float | None = None
     seed: int = 0
     name: str = ""
 
@@ -44,13 +43,6 @@ class MissionSpec:
         for name, cell in (("start", self.start), ("goal", self.goal)):
             if not (0 <= cell.row < height and 0 <= cell.col < width):
                 raise ValueError(f"{name} {tuple(cell)} outside {height}x{width} world")
-        if self.target_distance is not None:
-            actual = math.dist(self.start, self.goal)
-            if abs(actual - self.target_distance) > 1.0:
-                raise ValueError(
-                    f"start-goal distance {actual:.2f} is more than one cell away "
-                    f"from the declared {self.target_distance}"
-                )
 
 
 def run_mission(
@@ -129,28 +121,9 @@ def build_test_sequence(master_seed: int, scale: float = 1.0,
                 start=start,
                 goal=goal,
                 weather=WeatherCondition(kind, intensity),
-                target_distance=dist_s,
                 seed=int(seeds[2 * i + 1]),
                 name=name,
             )
         )
     return specs
 
-
-def run_test_sequence(
-    agent: phases.Agent,
-    master_seed: int,
-    scale: float = 1.0,
-    obstacle_density: float | None = None,
-) -> tuple[list[phases.MissionReport], phases.Agent]:
-    """Run the ten tests in order, carrying the learned parameters forward.
-
-    Individual failures (step budget, boxed-in) are recorded in their
-    report and the sequence continues.
-    """
-    reports = []
-    for spec in build_test_sequence(master_seed, scale=scale,
-                                    obstacle_density=obstacle_density):
-        report, agent, _ = run_mission(spec, agent)
-        reports.append(report)
-    return reports, agent

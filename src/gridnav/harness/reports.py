@@ -1,4 +1,4 @@
-"""Mission reports, decay-experiment values, and their file formats.
+"""Mission reports and their file formats.
 
 Emitted artifacts are deterministic byte-for-byte given the same inputs:
 floats are written with ``repr`` (shortest round-trip form), rows keep a
@@ -11,9 +11,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict, dataclass
-
-import numpy as np
+from dataclasses import asdict
 
 from ..agent.phases import MissionReport
 from ..mapping import GridCoord
@@ -32,17 +30,7 @@ MISSION_CSV_COLUMNS = (
     "random",
 )
 
-DECAY_CSV_COLUMNS = ("rule", "update", "q")
-
 REPORT_SCHEMA_VERSION = 1
-
-
-@dataclass
-class DecayExperimentResult:
-    rule: str
-    #: (updates + 1,) Q-values per update index, index 0 being the state
-    #: before any update.
-    values: np.ndarray
 
 
 def mission_reports_to_csv(reports: list[MissionReport]) -> str:
@@ -74,16 +62,6 @@ def mission_reports_to_json(reports: list[MissionReport]) -> str:
         raise ValueError("no reports to emit")
     doc = {"schema_version": REPORT_SCHEMA_VERSION, "reports": [asdict(r) for r in reports]}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def decay_results_to_csv(results: list[DecayExperimentResult]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(DECAY_CSV_COLUMNS)
-    for res in results:
-        for update, q in enumerate(res.values.tolist()):
-            writer.writerow([res.rule, update, repr(q)])
-    return buf.getvalue()
 
 
 def route_trace_svg(report: MissionReport, world: World, start: GridCoord,

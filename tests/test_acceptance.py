@@ -205,14 +205,14 @@ def test_criterion_3_gradient_oracle():
 
 def test_criterion_4_decay_reproduction():
     started = time.time()
-    ddqn = decay_experiment(UpdateRule.DDQN, reward=-0.04, gamma=0.95, updates=500)
-    eddqn = decay_experiment(UpdateRule.EDDQN, reward=-0.04, gamma=0.95, updates=500)
+    ddqn = decay_experiment(UpdateRule.DDQN, gamma=0.95, alpha=0.5, updates=500)
+    eddqn = decay_experiment(UpdateRule.EDDQN, gamma=0.95, alpha=0.5, updates=500)
 
-    assert abs(ddqn.values[-1] - (-0.8)) < 1e-3
-    assert abs(eddqn.values[-1] - (-0.0205128)) < 1e-3
-    assert eddqn.values.min() >= -0.05
-    assert eddqn.values.max() <= 0.0
-    assert np.all(np.diff(ddqn.values) <= 1e-15)
+    assert abs(ddqn[-1] - (-0.8)) < 1e-3
+    assert abs(eddqn[-1] - (-0.0205128)) < 1e-3
+    assert eddqn.min() >= -0.05
+    assert eddqn.max() <= 0.0
+    assert np.all(np.diff(ddqn) <= 1e-15)
     assert time.time() - started < 5
     ok(4, "decay reproduction")
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,10 @@ import numpy as np
 import pytest
 
 import gridnav
+from gridnav import cli
+from gridnav.agent import UpdateRule
 from gridnav.cli import EXIT_EPISODE_CAP, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from gridnav.harness import TEST_SEQUENCE, decay_experiment, run_mission
 from gridnav.nn import load_checkpoint
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -110,7 +115,11 @@ class TestConfigHandling:
                                             ("gamma", 2),
                                             ("rule", "sarsa"),
                                             ("rule", "drqnx"),
-                                            ("rule", "drqn0")])
+                                            ("rule", "drqn0"),
+                                            ("decay_updates", -1),
+                                            ("decay_alpha", 0),
+                                            ("decay_alpha", 1.5),
+                                            ("decay_alpha", "nan")])
     def test_bad_agent_value_is_a_usage_error(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "cfg", **{**TINY_TRAIN, key: value})
         out = tmp_path / "o"
@@ -474,7 +483,15 @@ class TestEvaluate:
         assert "mission_step_budget = 3\n" in (out / "effective_config.txt").read_text()
         assert json.loads((out / "missions.json").read_text())["reports"][0]["time_s"] == 3
 
-    def test_full_sequence_runs_ten_scaled_missions(self, tmp_path, trained_tiny):
+    def test_full_sequence_runs_ten_scaled_missions(self, tmp_path, trained_tiny, monkeypatch):
+        flights = []
+
+        def recorded(spec, agent):
+            report, flown, env = run_mission(spec, agent)
+            flights.append((agent, flown))
+            return report, flown, env
+
+        monkeypatch.setattr(cli, "run_mission", recorded)
         cfg = write_config(tmp_path / "cfg", online_train_interval=100000,
                            obstacle_density=1.0, sequence_scale=0.05,
                            mission_step_budget=60)
@@ -482,18 +499,31 @@ class TestEvaluate:
         code = run_cli("evaluate", "--config", cfg, "--checkpoint", str(trained_tiny),
                        "--seed", "8", "--out", str(out))
         assert code == EXIT_OK
-        rows = (out / "missions.csv").read_text().splitlines()
-        assert len(rows) == 11
-        assert rows[1].split(",")[1].endswith("F100")
-        assert rows[10].split(",")[1].endswith("S400")
+        reports = json.loads((out / "missions.json").read_text())["reports"]
+        assert [r["domain"].split(":")[1] for r in reports] == [t[0] for t in TEST_SEQUENCE]
+        for r in reports:
+            assert r["predictions"] + r["corrections"] + r["random"] == r["time_s"]
+        # each mission starts from the agent the mission before it returned
+        assert len(flights) == 10
+        for (_, returned), (started, _) in zip(flights, flights[1:]):
+            assert started is returned
+        # only listed missions draw their route
+        assert sorted(os.listdir(out)) == ["effective_config.txt", "missions.csv",
+                                           "missions.json"]
 
 
 class TestDecay:
     def test_outputs_both_rules(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli("decay", "--updates", "10", "--out", str(out)) == EXIT_OK
-        text = (out / "decay.csv").read_text()
-        assert "ddqn" in text and "eddqn" in text
+        rows = list(csv.reader(io.StringIO((out / "decay.csv").read_text())))
+        assert rows[0] == ["rule", "update", "q"]
+        for rule in (UpdateRule.DDQN, UpdateRule.EDDQN):
+            own = [r for r in rows[1:] if r[0] == rule.value]
+            assert len(own) == 11  # initial row + 10 updates
+            assert own[0][1:] == ["0", "-0.04"]
+            assert [float(r[2]) for r in own] == decay_experiment(
+                rule, gamma=0.95, alpha=0.5, updates=10).tolist()
 
     def test_zero_updates_gives_flat_single_rows(self, tmp_path):
         out = tmp_path / "o"

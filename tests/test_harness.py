@@ -9,22 +9,27 @@ import pytest
 
 from gridnav.agent import Agent, AgentConfig, UpdateRule
 from gridnav.harness import (
-    DECAY_CSV_COLUMNS,
     MISSION_CSV_COLUMNS,
     MissionReport,
     MissionSpec,
     TEST_SEQUENCE,
+    backup,
     build_test_sequence,
     decay_experiment,
-    decay_results_to_csv,
     emit_report,
     mission_reports_to_csv,
     mission_reports_to_json,
     route_trace_svg,
     run_mission,
-    run_test_sequence,
 )
-from gridnav.mapping import GridCoord
+from gridnav.mapping import (
+    ACTION_DELTAS,
+    ACTIONS,
+    REWARD_INVALID,
+    REWARD_REACHED,
+    REWARD_VALID,
+    GridCoord,
+)
 from gridnav.world import Domain, WeatherKind, WorldSpec
 
 from conftest import Disc, world_of
@@ -32,32 +37,127 @@ from conftest import Disc, world_of
 
 class TestDecayExperiment:
     def test_ddqn_median_converges_to_its_fixed_point(self):
-        result = decay_experiment(UpdateRule.DDQN, updates=500)
-        assert result.values.shape == (501,)
-        assert abs(result.values[-1] - (-0.8)) < 1e-3
+        values = decay_experiment(UpdateRule.DDQN, gamma=0.95, alpha=0.5, updates=500)
+        assert values.shape == (501,)
+        assert abs(values[-1] - (-0.8)) < 1e-3
 
     def test_eddqn_median_converges_near_zero(self):
-        result = decay_experiment(UpdateRule.EDDQN, updates=500)
-        assert abs(result.values[-1] - (-0.0205128)) < 1e-3
+        values = decay_experiment(UpdateRule.EDDQN, gamma=0.95, alpha=0.5, updates=500)
+        assert abs(values[-1] - (-0.0205128)) < 1e-3
 
     def test_eddqn_iterates_stay_in_band(self):
-        result = decay_experiment(UpdateRule.EDDQN, updates=500)
-        assert result.values.min() >= -0.05
-        assert result.values.max() <= 0.0
+        values = decay_experiment(UpdateRule.EDDQN, gamma=0.95, alpha=0.5, updates=500)
+        assert values.min() >= -0.05
+        assert values.max() <= 0.0
 
     def test_ddqn_is_monotone_non_increasing(self):
-        result = decay_experiment(UpdateRule.DDQN, updates=300)
-        assert np.all(np.diff(result.values) <= 1e-12)
+        values = decay_experiment(UpdateRule.DDQN, gamma=0.95, alpha=0.5, updates=300)
+        assert np.all(np.diff(values) <= 1e-12)
 
     def test_zero_updates_is_the_identity(self):
-        result = decay_experiment(UpdateRule.EDDQN, updates=0)
-        assert result.rule == "eddqn"
-        assert result.values.tolist() == [-0.04]
+        values = decay_experiment(UpdateRule.EDDQN, gamma=0.95, alpha=0.5, updates=0)
+        assert values.tolist() == [REWARD_VALID]
 
     def test_vanishing_alpha_changes_nothing(self):
         for rule in (UpdateRule.DDQN, UpdateRule.EDDQN):
-            result = decay_experiment(rule, alpha=1e-9, updates=100)
-            assert np.all(np.abs(result.values - (-0.04)) < 1e-6)
+            values = decay_experiment(rule, gamma=0.95, alpha=1e-9, updates=100)
+            assert np.all(np.abs(values - REWARD_VALID) < 1e-6)
+
+
+def grid_mdp(rows, cols, goal, blocked=()):
+    """The cells of a rows x cols grid without ``blocked``, and the (S, A)
+    tables ``(rewards, next_state, terminal, valid)`` of moving between them
+    as in training: a move into a wall or a blocked cell is voided in place
+    at REWARD_INVALID and is invalid, and a move onto ``goal`` pays
+    REWARD_REACHED and ends the episode."""
+    cells = [GridCoord(r, c) for r in range(rows) for c in range(cols) if (r, c) not in blocked]
+    index = {cell: s for s, cell in enumerate(cells)}
+    shape = (len(cells), len(ACTIONS))
+    rewards = np.full(shape, REWARD_INVALID)
+    next_state = np.repeat(np.arange(len(cells))[:, None], len(ACTIONS), axis=1)
+    terminal = np.zeros(shape, dtype=bool)
+    valid = np.zeros(shape, dtype=bool)
+    for cell, s in index.items():
+        for a in ACTIONS:
+            dr, dc = ACTION_DELTAS[a]
+            dest = index.get((cell.row + dr, cell.col + dc))
+            if dest is not None:
+                valid[s, a] = True
+                next_state[s, a] = dest
+                terminal[s, a] = cells[dest] == goal
+                rewards[s, a] = REWARD_REACHED if terminal[s, a] else REWARD_VALID
+    return cells, (rewards, next_state, terminal, valid)
+
+
+def bfs_steps(cells, goal):
+    """Fewest moves from each cell to ``goal`` over ``cells``."""
+    steps, frontier = {goal: 0}, [goal]
+    while frontier:
+        cell = frontier.pop(0)
+        for dr, dc in ACTION_DELTAS.values():
+            nxt = GridCoord(cell.row + dr, cell.col + dc)
+            if nxt in cells and nxt not in steps:
+                steps[nxt] = steps[cell] + 1
+                frontier.append(nxt)
+    return [steps[cell] for cell in cells]
+
+
+def greedy_reaches_goal(q, next_state, terminal, valid):
+    """Per state: whether the greedy valid action, followed from there,
+    ends the episode within one move per state."""
+    best = np.argmax(np.where(valid, q, -np.inf), axis=1)
+    reached = []
+    for s in range(len(q)):
+        for _ in range(len(q)):
+            if terminal[s, best[s]]:
+                break
+            s = next_state[s, best[s]]
+        reached.append(bool(terminal[s, best[s]]))
+    return np.array(reached)
+
+
+#: open 10x10 with the README task's goal; a 4x4 whose blocked cells force
+#: a detour of 7 moves from (0, 1); an open 3x3
+GRIDS = {
+    "open-10x10": (10, 10, GridCoord(5, 5), ()),
+    "blocked-4x4": (4, 4, GridCoord(3, 3), ((0, 2), (1, 1), (2, 1), (2, 2))),
+    "open-3x3": (3, 3, GridCoord(0, 0), ()),
+}
+
+
+class TestTabularBackup:
+    """Value iteration (a = 1) through ``td_targets`` on grid MDPs."""
+
+    GAMMA = 0.95
+    #: a backup contracts by g, so every rule's table settles to within
+    #: g^sweeps (4e-14) of its fixed point
+    SWEEPS = 600
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_double_dqn_is_dqn_and_both_solve_the_grid(self, grid):
+        rows, cols, goal, blocked = GRIDS[grid]
+        cells, mdp = grid_mdp(rows, cols, goal, blocked)
+        start = np.zeros(mdp[0].shape)
+        tables = {rule: backup(rule, *mdp, start, self.GAMMA, 1.0, self.SWEEPS)
+                  for rule in UpdateRule}
+        dqn = tables[UpdateRule.DQN]
+        assert dqn.shape == (self.SWEEPS + 1, *mdp[0].shape)
+        # in the tabular limit the double estimator's argmax picks the max
+        assert dqn.tobytes() == tables[UpdateRule.DDQN].tobytes()
+
+        rewards, next_state, terminal, valid = mdp
+        value = np.where(valid, dqn[-1], -np.inf).max(axis=1)
+        g, d = self.GAMMA, np.array(bfs_steps(cells, goal))
+        closed = g ** (d - 1) + REWARD_VALID * (1 - g ** (d - 1)) / (1 - g)
+        away = d > 0
+        assert np.abs(value[away] - closed[away]).max() < 1e-12
+        assert greedy_reaches_goal(dqn[-1], next_state, terminal, valid)[away].all()
+
+        # reported, not asserted: where the subtractive rule's fixed point
+        # sends the greedy agent
+        eddqn = greedy_reaches_goal(tables[UpdateRule.EDDQN][-1], next_state, terminal, valid)
+        print(f"\n  {grid}: eddqn greedy reaches the goal from "
+              f"{eddqn[away].sum()}/{away.sum()} cells")
 
 
 def sample_report(route=None):
@@ -119,18 +219,6 @@ class TestReportEmission:
         with pytest.raises(ValueError):
             mission_reports_to_csv([])
 
-    def test_decay_csv_layout(self):
-        results = [decay_experiment(rule, updates=10)
-                   for rule in (UpdateRule.DDQN, UpdateRule.EDDQN)]
-        rows = list(csv.reader(io.StringIO(decay_results_to_csv(results))))
-        assert tuple(rows[0]) == DECAY_CSV_COLUMNS == ("rule", "update", "q")
-        ddqn_rows = [r for r in rows[1:] if r[0] == "ddqn"]
-        eddqn_rows = [r for r in rows[1:] if r[0] == "eddqn"]
-        assert len(ddqn_rows) == len(eddqn_rows) == 11  # initial row + 10 updates
-        assert ddqn_rows[0][1] == "0"
-        assert ddqn_rows[0][2] == "-0.04"
-        assert [float(r[2]) for r in ddqn_rows] == results[0].values.tolist()
-
     def test_emit_report_writes_both_files(self, tmp_path):
         paths = emit_report([sample_report()], tmp_path)
         assert (tmp_path / "missions.csv").exists()
@@ -177,15 +265,6 @@ PLAIN_MISSION = MissionSpec(
 
 
 class TestMissions:
-    def test_distance_invariant_enforced(self):
-        spec = WorldSpec(domain=Domain.PLAIN, width_m=30, height_m=30,
-                         obstacle_density=0.0, seed=0)
-        with pytest.raises(ValueError):
-            MissionSpec(world=spec, start=GridCoord(0, 0), goal=GridCoord(0, 5),
-                        target_distance=10.0)
-        MissionSpec(world=spec, start=GridCoord(0, 0), goal=GridCoord(0, 10),
-                    target_distance=10.0)
-
     def test_run_mission_is_deterministic(self, phase_arch):
         spec = PLAIN_MISSION
         config = AgentConfig(online_train_interval=50, mission_step_budget=120)
@@ -209,23 +288,8 @@ class TestMissions:
         assert specs[8].world.domain == Domain.PLAIN
         assert specs[9].world.domain == Domain.SAVANNA
         assert specs[9].world.dynamic_count > 0
-        for s in specs:
-            assert abs(math.dist(s.start, s.goal) - s.target_distance) <= 1.0
-
-    def test_full_sequence_emits_ten_reports_in_order(self, phase_arch):
-        config = AgentConfig(online_train_interval=8, batch_size=8, mission_step_budget=120)
-        agent = Agent.new(config, seed=0, arch=phase_arch)
-        before = {k: v.copy() for k, v in agent.value_net.params.items()}
-        reports, updated = run_test_sequence(agent, master_seed=3, scale=0.05,
-                                             obstacle_density=1.0)
-        assert len(reports) == 10
-        assert [r.domain.split(":")[1] for r in reports] == [t[0] for t in TEST_SEQUENCE]
-        for r in reports:
-            assert r.predictions + r.corrections + r.random == r.time_s
-        # online updates occurred somewhere along the sequence
-        assert any(
-            not np.array_equal(updated.value_net.params[k], before[k]) for k in before
-        )
+        for s, (_, _, _, distance, _, _) in zip(specs, TEST_SEQUENCE):
+            assert abs(math.dist(s.start, s.goal) - max(10, round(distance * 0.05))) <= 1.0
 
     def test_run_mission_leaves_the_callers_agent_as_it_was(self, phase_arch):
         config = AgentConfig(online_train_interval=1, batch_size=4, target_sync_every=3,

@@ -22,7 +22,7 @@ does.  The set:
 * ``train`` on the README task with ``rule = drqn4`` and ``batch_size = 4``,
   seed 7, three episodes, and ``evaluate`` of that checkpoint on the first
   listed savanna mission (budget 40, seed 3);
-* ``decay`` with 50 updates;
+* ``decay`` with 50 updates, at the default step size and at 0.3;
 * ``generate-world`` of a 30x30 savanna with 3 moving obstacles, world
   seed 5.
 
@@ -76,6 +76,7 @@ def runs() -> list[tuple[list[str], tuple[int, ...]]]:
                     "--config", "eval-drqn.cfg", "--missions", MISSIONS.split(";")[0],
                     "--budget", "40", "--seed", "3", "--out", "eval-drqn4"], (0,)))
     listed.append((["decay", "--updates", "50", "--out", "decay"], (0,)))
+    listed.append((["decay", "--updates", "50", "--alpha", "0.3", "--out", "decay-alpha"], (0,)))
     listed.append((["generate-world", "--domain", "savanna", "--width", "30", "--height", "30",
                     "--dynamic-count", "3", "--world-seed", "5", "--out", "world"], (0,)))
     return listed
