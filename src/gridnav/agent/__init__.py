@@ -12,7 +12,7 @@ from .phases import (
     write_training_log,
 )
 from .policy import PolicyDecision, correct_action, epsilon_greedy
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer, State, Transition
 
 __all__ = [
     "Agent",
@@ -21,6 +21,7 @@ __all__ = [
     "NavigationEnv",
     "PolicyDecision",
     "ReplayBuffer",
+    "State",
     "TRAINING_LOG_COLUMNS",
     "Transition",
     "UpdateRule",

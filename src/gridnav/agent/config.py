@@ -8,6 +8,7 @@ mini-batches of 32.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -63,14 +64,19 @@ class AgentConfig:
         for name in ("epsilon_train", "epsilon_test"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.batch_size < 1 or self.replay_capacity < 1:
-            raise ValueError("batch_size and replay_capacity must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
+        # sizes, caps and update cadences (the cadences are taken modulo the
+        # update or step count)
+        for name in ("batch_size", "replay_capacity", "max_episodes", "success_streak",
+                     "max_steps_per_episode", "mission_step_budget", "target_sync_every",
+                     "online_train_interval", "exploration_train_interval"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive")
+        if self.train_steps_per_episode < 0:
+            raise ValueError("train_steps_per_episode must be >= 0")
         if self.trace_length is not None and self.trace_length > self.replay_capacity:
             # no trace would ever fit in the buffer, so the net would never train
             raise ValueError(f"rule {self.rule}'s {self.trace_length}-step trace exceeds "
                              f"replay_capacity {self.replay_capacity}")
-        # update cadences, taken modulo the update or step count
-        for name in ("target_sync_every", "online_train_interval", "exploration_train_interval"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be positive")

@@ -3,6 +3,9 @@
 Every update reads B traces of T transitions: T = 1 for the feedforward
 net, a contiguous episode segment for the recurrent one.  Only the sampler
 tells the two apart; targets and the one forward/backward pass are shared.
+Every eval-mode Q evaluation, action selection included, is
+:func:`q_values` over B traces of T replay states: each net's trunk rows
+by frame digest (:func:`trunk_rows`), then ``nn.q_from_features``.
 
 The rules differ only in how the bootstrap term enters the target:
 
@@ -11,19 +14,18 @@ The rules differ only in how the bootstrap term enters the target:
 * EDDQN: r - g * that same quantity (the sign flip that keeps repeatedly
   replayed transitions from dragging their Q-value toward r / (1 - g))
 
-Terminal transitions bootstrap nothing, and the next-action argmax/max is
-always restricted to the next state's valid-action mask.
+A transition whose next state is at its target cell is terminal and
+bootstraps nothing, and the next-action argmax/max is always restricted to
+the next state's valid-action mask.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
 from .. import nn
 from .config import AgentConfig, UpdateRule
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer, State, Transition
 
 
 def td_targets(
@@ -59,35 +61,29 @@ def td_targets(
     return np.where(terminals, rewards, targets)
 
 
-def frame_digest(frame: np.ndarray) -> bytes:
-    """SHA-256 of the frame's bytes: the key of its image-trunk rows, which
-    are a pure function of the frame and the weights."""
-    return hashlib.sha256(np.ascontiguousarray(frame)).digest()
-
-
-def trunk_rows(net: nn.QNetwork, frames: list[np.ndarray], digests: list[bytes]) -> np.ndarray:
-    """Eval-mode image-trunk rows of ``frames``, (B, image_features).
+def trunk_rows(net: nn.QNetwork, states: list[State]) -> np.ndarray:
+    """Eval-mode image-trunk rows of the frames of ``states``, (N, image_features).
 
     Rows are looked up in ``net.rows`` by frame digest; the distinct misses
     go through the trunk in one batched pass and are added to it.
     """
-    missing = {digest: frame for frame, digest in zip(frames, digests) if digest not in net.rows}
+    missing = {s.digest: s.frame for s in states if s.digest not in net.rows}
     if missing:
         net.rows.update(zip(missing, nn.image_features(net, np.stack(list(missing.values())))))
-    return np.array([net.rows[digest] for digest in digests])
+    return np.array([net.rows[s.digest] for s in states])
 
 
-def _stacked(batch: list[list[Transition]], name: str) -> np.ndarray:
-    """Field ``name`` of every step of ``batch``, (B, T, ...)."""
-    return np.array([[getattr(t, name) for t in trace] for trace in batch])
+def _stacked(traces: list[list], name: str) -> np.ndarray:
+    """Field ``name`` of every step of B traces of T records, (B, T, ...)."""
+    return np.array([[getattr(step, name) for step in trace] for trace in traces])
 
 
-def _next_state_q(net: nn.QNetwork, batch: list[list[Transition]]) -> np.ndarray:
-    """Eval-mode Q on the batch's next states, (B, T, num_actions)."""
-    steps = [t for trace in batch for t in trace]
-    feats = trunk_rows(net, [t.next_frame for t in steps], [t.next_digest for t in steps])
-    return nn.q_from_features(net, feats.reshape(len(batch), -1, feats.shape[1]),
-                              _stacked(batch, "next_raster"))
+def q_values(net: nn.QNetwork, states: list[list[State]]) -> np.ndarray:
+    """Eval-mode Q-values of B traces of T states, (B, T, num_actions); a
+    recurrent net runs its LSTM along each trace from the zero state."""
+    feats = trunk_rows(net, [s for trace in states for s in trace])
+    return nn.q_from_features(net, feats.reshape(len(states), -1, feats.shape[1]),
+                              _stacked(states, "raster"))
 
 
 def compute_targets(
@@ -98,16 +94,17 @@ def compute_targets(
     gamma: float,
 ) -> np.ndarray:
     """Eval-mode TD targets (B*T,) of B traces of T transitions, batch-major."""
-    q_tgt = _next_state_q(target_net, batch)
-    q_val = q_tgt if rule == UpdateRule.DQN else _next_state_q(value_net, batch)
+    nexts = [[t.next for t in trace] for trace in batch]
+    q_tgt = q_values(target_net, nexts)
+    q_val = q_tgt if rule == UpdateRule.DQN else q_values(value_net, nexts)
     actions = q_tgt.shape[-1]
     return td_targets(
         rule,
         rewards=_stacked(batch, "reward").reshape(-1),
-        terminals=_stacked(batch, "terminal").reshape(-1),
+        terminals=_stacked(nexts, "at_target").reshape(-1),
         q_next_value=q_val.reshape(-1, actions),
         q_next_target=q_tgt.reshape(-1, actions),
-        valid_next=_stacked(batch, "valid_next").reshape(-1, actions),
+        valid_next=_stacked(nexts, "valid").reshape(-1, actions),
         gamma=gamma,
     )
 
@@ -136,7 +133,8 @@ def train_step(
     if batch is None:
         return None
     targets = compute_targets(config.update_rule, batch, value_net, target_net, config.gamma)
-    q, cache = nn.forward_cached(value_net, _stacked(batch, "frame"), _stacked(batch, "raster"),
+    states = [[t.state for t in trace] for trace in batch]
+    q, cache = nn.forward_cached(value_net, _stacked(states, "frame"), _stacked(states, "raster"),
                                  dropout_seed=int(rng.integers(0, 2**63)))
     loss, dq = nn.mse_loss_grad(q.reshape(-1, q.shape[-1]), targets.astype(q.dtype),
                                 _stacked(batch, "action").reshape(-1))

@@ -17,6 +17,10 @@ state and config, which a checkpoint keeps, plus what one phase gathers
 ``dataclasses.replace(agent)``: the same nets with an empty buffer and no
 updates yet.  The copy shares its nets' trunk rows, which is safe because
 a row is a pure function of the frame and the weights.
+
+Both phases step through :func:`_transition`, which decides from a
+``replay.State`` and pushes (state, action, reward, next state).  A state
+is observed once: when its frame is rendered or its decision map respawns.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,11 +44,9 @@ from ..mapping import (
     apply_move,
     classify_action,
     mark_blocked,
-    render_decision_map,
     retarget,
     reward,
     spawn_local_map,
-    valid_action_mask,
 )
 from ..world import (
     CLEAR,
@@ -58,9 +59,9 @@ from ..world import (
     step_dynamics,
 )
 from .config import AgentConfig
-from .learning import frame_digest, train_step, trunk_rows
+from .learning import q_values, train_step
 from .policy import PolicyDecision, correct_action, epsilon_greedy
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer, State, Transition
 
 TRAINING_LOG_COLUMNS = ("episode", "steps", "reward_sum", "success", "streak", "loss_mean")
 
@@ -81,7 +82,8 @@ class EpisodeLog:
     reward_sum: float
     success: bool
     streak: int
-    loss_mean: float
+    #: mean loss of the episode's updates; None when none ran
+    loss_mean: float | None
 
 
 @dataclass
@@ -154,11 +156,10 @@ class Agent:
         adam = replace(adam or nn.init_adam(net.params), learning_rate=config.learning_rate)
         return cls(net, nn.clone_params(net), adam, config)
 
-    def q_values(self, state: _State) -> np.ndarray:
+    def q_values(self, state: State) -> np.ndarray:
         """The value net's eval-mode Q-values at ``state``, as a one-step
         trace: a recurrent net's LSTM starts from the zero state."""
-        rows = trunk_rows(self.value_net, [state.frame], [state.digest])
-        return nn.q_from_features(self.value_net, rows, state.raster[None])[0]
+        return q_values(self.value_net, [[state]])[0, 0]
 
     def update(self, rng: np.random.Generator) -> float | None:
         """One mini-batch update, or None when the buffer holds no batch or
@@ -181,28 +182,6 @@ class Agent:
         return self.update(rng)
 
 
-class _State(NamedTuple):
-    """The agent between two decisions: its decision map and view."""
-
-    local: LocalMap
-    frame: np.ndarray
-    digest: bytes  # frame_digest(frame), taken once per rendered frame
-    raster: np.ndarray
-
-    @property
-    def agent(self) -> GridCoord:
-        return self.local.agent_global
-
-    @property
-    def at_target(self) -> bool:
-        return self.local.agent_local == self.local.target_cell
-
-
-def _observed(local: LocalMap, frame: np.ndarray) -> _State:
-    """The state that sees ``frame``, with its digest and the map's raster."""
-    return _State(local, frame, frame_digest(frame), render_decision_map(local))
-
-
 def _sensed_local_map(local: LocalMap, world: World, goal: GridCoord
                       ) -> tuple[LocalMap, set[GridCoord]]:
     """Mark freshly sensed obstacles and re-aim the target if it got buried."""
@@ -219,7 +198,7 @@ def _spawn(agent: GridCoord, world: World, goal: GridCoord
     return _sensed_local_map(spawn_local_map(agent, goal, world.shape), world, goal)
 
 
-def _transition(agent: Agent, state: _State, world: World, goal: GridCoord,
+def _transition(agent: Agent, state: State, world: World, goal: GridCoord,
                 epsilon: float, correct: bool, render, episode_id: int,
                 rng: np.random.Generator):
     """One decision of either phase, pushed to the replay buffer.
@@ -227,14 +206,13 @@ def _transition(agent: Agent, state: _State, world: World, goal: GridCoord,
     Selects epsilon-greedily (with ``correct``, unsafe predictions are
     replaced by :func:`correct_action`), classifies and rewards the action,
     then moves, senses and retargets, or voids a hard-constrained action in
-    place.  ``render(cell, facing)`` draws the next frame.  Returns
-    ``(next_state, decision, reward, sensed)``, or None when the agent is
-    boxed in.
+    place, so that its next state is its state.  ``render(cell, facing)``
+    draws the next frame.  Returns ``(next_state, decision, reward,
+    sensed)``, or None when the agent is boxed in.
     """
     local = state.local
     try:
-        action, decision = epsilon_greedy(agent.q_values(state), valid_action_mask(local),
-                                          epsilon, rng)
+        action, decision = epsilon_greedy(agent.q_values(state), state.valid, epsilon, rng)
         if correct and decision == PolicyDecision.PREDICTED:
             action, decision = correct_action(local, action)
     except BoxedInError:
@@ -246,23 +224,8 @@ def _transition(agent: Agent, state: _State, world: World, goal: GridCoord,
         nxt, sensed = state, set()
     else:
         next_local, sensed = _sensed_local_map(apply_move(local, action), world, goal)
-        nxt = _observed(next_local, render(next_local.agent_global, action))
-    # terminal at the target cell: inside a decision map the goal is always
-    # the target cell, so this also covers reaching the goal
-    agent.buffer.push(
-        Transition(
-            frame=state.frame,
-            raster=state.raster,
-            action=int(action),
-            reward=r,
-            next_frame=nxt.frame,
-            next_digest=nxt.digest,
-            next_raster=nxt.raster,
-            terminal=nxt.at_target,
-            valid_next=valid_action_mask(nxt.local),
-            episode_id=episode_id,
-        )
-    )
+        nxt = State.observe(next_local, render(next_local.agent_global, action))
+    agent.buffer.push(Transition(state, int(action), r, nxt, episode_id))
     return nxt, decision, r, sensed
 
 
@@ -295,7 +258,7 @@ def run_exploration_phase(env: NavigationEnv, agent: Agent, seed: int,
     for episode in range(1, config.max_episodes + 1):
         spawn = GridCoord(*free_cells[int(rng.integers(len(free_cells)))].tolist())
         local, _ = _spawn(spawn, world, env.goal)
-        state = _observed(local, render(local.agent_global, Action.NORTH))
+        state = State.observe(local, render(local.agent_global, Action.NORTH))
         reward_sum = 0.0
         steps = 0
         losses = []
@@ -326,7 +289,7 @@ def run_exploration_phase(env: NavigationEnv, agent: Agent, seed: int,
                 reward_sum=reward_sum,
                 success=success,
                 streak=streak,
-                loss_mean=float(np.mean(losses)) if losses else math.nan,
+                loss_mean=float(np.mean(losses)) if losses else None,
             )
         )
         if progress is not None:
@@ -350,7 +313,7 @@ def write_training_log(episodes: list[EpisodeLog], path) -> None:
                     repr(log.reward_sum),
                     int(log.success),
                     log.streak,
-                    "" if math.isnan(log.loss_mean) else repr(log.loss_mean),
+                    "" if log.loss_mean is None else repr(log.loss_mean),
                 ]
             )
 
@@ -393,7 +356,7 @@ def run_exploitation_phase(
     # decision 1 sees the world one step after the spawn, like every later
     # decision sees it one step after the previous one
     world = advanced(world)
-    state = _observed(local, observe(world, env.start, Action.NORTH, 1))
+    state = State.observe(local, observe(world, env.start, Action.NORTH, 1))
     route = [env.start]
     counts = {PolicyDecision.PREDICTED: 0, PolicyDecision.CORRECTED: 0, PolicyDecision.RANDOM: 0}
     episode_id = 0
@@ -419,7 +382,7 @@ def run_exploitation_phase(
             if state.agent != env.goal:
                 local, sensed = _spawn(state.agent, world, env.goal)
                 obstacles_seen.update(sensed)
-                state = state._replace(local=local, raster=render_decision_map(local))
+                state = State.observe(local, state.frame)
 
         world = next_world
         agent.update_every(steps, config.online_train_interval, rng)

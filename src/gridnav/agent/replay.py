@@ -1,4 +1,9 @@
-"""Experience replay with episode-aware sequential sampling.
+"""The agent's state record, and experience replay with episode-aware sampling.
+
+A :class:`State` is one observation, taken once by :meth:`State.observe`.
+A :class:`Transition` is (state, action, reward, next state); its next
+state is the object the following decision reads, or, when the action was
+voided, its own state.
 
 The buffer is a FIFO ring of at most ``capacity`` transitions stored in
 insertion order.  Feedforward training samples uniformly without
@@ -8,24 +13,52 @@ straddle an episode boundary.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ..mapping import GridCoord, LocalMap, render_decision_map, valid_action_mask
 
-@dataclass
-class Transition:
+
+def frame_digest(frame: np.ndarray) -> bytes:
+    """SHA-256 of the frame's bytes: the key of its image-trunk rows, which
+    are a pure function of the frame and the weights."""
+    return hashlib.sha256(np.ascontiguousarray(frame)).digest()
+
+
+class State(NamedTuple):
+    """The agent between two decisions: its decision map and view."""
+
+    local: LocalMap
     frame: np.ndarray
-    raster: np.ndarray
+    digest: bytes  # frame_digest(frame)
+    raster: np.ndarray  # render_decision_map(local)
+    valid: np.ndarray  # valid_action_mask(local)
+
+    @classmethod
+    def observe(cls, local: LocalMap, frame: np.ndarray) -> State:
+        """The state whose map is ``local`` and whose view is ``frame``."""
+        return cls(local, frame, frame_digest(frame), render_decision_map(local),
+                   valid_action_mask(local))
+
+    @property
+    def agent(self) -> GridCoord:
+        return self.local.agent_global
+
+    @property
+    def at_target(self) -> bool:
+        """Terminal.  A goal inside the map's window is always its target
+        cell, so this also covers reaching the goal."""
+        return self.local.agent_local == self.local.target_cell
+
+
+class Transition(NamedTuple):
+    state: State
     action: int
     reward: float
-    next_frame: np.ndarray
-    #: ``learning.frame_digest(next_frame)``, the key of its trunk rows
-    next_digest: bytes
-    next_raster: np.ndarray
-    terminal: bool
-    valid_next: np.ndarray
+    next: State
     episode_id: int = 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -85,6 +86,8 @@ class RunConfig(AgentConfig):
             raise ValueError("decay_updates must be >= 0")
         if not 0.0 < self.decay_alpha <= 1.0:
             raise ValueError("decay_alpha must be in (0, 1]")
+        if not 0.0 < self.sequence_scale < math.inf:
+            raise ValueError("sequence_scale must be finite and positive")
         self.world_spec()
         self.weather_condition()
 
@@ -311,8 +314,7 @@ def _add_command(sub, name: str, func, help: str,
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--seed", type=int, dest="seed", help="master seed")
     parser.add_argument("--out", dest="out_dir", help="output directory")
-    parser.add_argument("--rule", choices=("dqn", "ddqn", "eddqn", "drqn100", "drqn1000"),
-                        dest="rule")
+    parser.add_argument("--rule", choices=("dqn", "ddqn", "eddqn", "drqn100"), dest="rule")
     parser.add_argument("--weather", choices=[w.value for w in WeatherKind],
                         dest="weather")
     parser.add_argument("--intensity", type=float, choices=[0.0, 0.15, 0.30],

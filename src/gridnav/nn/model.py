@@ -6,8 +6,8 @@ conv+pool stages (84 -> 42 -> 21 -> 10 spatially) into two dense layers
 producing a 10-wide clutter embedding; the map branch is a single dense
 layer with a learnable-slope PReLU keeping 100 features; both concatenate
 into a 110-wide feature row feeding the linear head.  One forward and one
-backward serve both variants, over B traces of T steps (a flat batch is B
-one-step traces): trunk and map branch map each step on its own, and only
+backward serve both variants, over B traces of T steps (T = 1 for the
+feedforward net): trunk and map branch map each step on its own, and only
 the recurrent variant's head differs, an equally wide LSTM run along T.
 
 The trunk runs a batch in ``_CHUNK``-row chunks, side by side on the
@@ -296,18 +296,14 @@ def _features_backward(net: QNetwork, cache, dfeats: np.ndarray,
             del chunk_grads, grad  # not held while the next chunk is awaited
 
 
-def _time_major(x: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    """The steps of ``x``, whose leading shape ``lead`` is (B, T) or a flat
-    (B,), as rows in time-major order: step t of trace b is row t*B + b."""
-    if len(lead) == 1:
-        return x
+def _time_major(x: np.ndarray) -> np.ndarray:
+    """The steps of ``x``, (B, T, ...), as rows in time-major order: step t
+    of trace b is row t*B + b."""
     return np.ascontiguousarray(np.swapaxes(x, 0, 1)).reshape(-1, *x.shape[2:])
 
 
-def _batch_major(rows: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`_time_major`."""
-    if len(lead) == 1:
-        return rows
+def _batch_major(rows: np.ndarray, lead: tuple[int, int]) -> np.ndarray:
+    """Inverse of :func:`_time_major`; ``lead`` is (B, T)."""
     return np.swapaxes(rows.reshape(lead[1], lead[0], -1), 0, 1)
 
 
@@ -352,14 +348,13 @@ def _head_backward(net: QNetwork, cache, dq: np.ndarray,
 
 def q_from_features(net: QNetwork, img_feats: np.ndarray, rasters: np.ndarray) -> np.ndarray:
     """Eval-mode Q-values given precomputed trunk rows: ``img_feats`` (B, T,
-    image_features) and ``rasters`` (B, T, map_cells), or a flat batch of B
-    one-step traces, give Q-values of the same leading shape, as
-    :func:`forward_cached` would."""
+    image_features) and ``rasters`` (B, T, map_cells) give (B, T,
+    num_actions), as :func:`forward_cached` would."""
     dtype = net.params["head_w"].dtype
     rasters = np.asarray(rasters, dtype=dtype)
     lead = rasters.shape[:-1]
-    m, _ = _map_branch(net, _time_major(rasters, lead))
-    cat = np.concatenate([_time_major(img_feats, lead), m], axis=1)
+    m, _ = _map_branch(net, _time_major(rasters))
+    cat = np.concatenate([_time_major(img_feats), m], axis=1)
     q, _ = _head_forward(net, cat, lead[0])
     return _batch_major(q, lead)
 
@@ -369,9 +364,8 @@ def forward_cached(net: QNetwork, frames: np.ndarray, rasters: np.ndarray,
                    hidden: tuple[np.ndarray, np.ndarray] | None = None):
     """Q-values of B traces of T steps, and the cache of :func:`backward`.
 
-    ``frames`` is (B, T, H, W) and ``rasters`` (B, T, map_cells); a flat
-    (B, H, W) and (B, map_cells) batch is B one-step traces.  The Q-values
-    have the same leading shape.  A ``dropout_seed`` selects train mode,
+    ``frames`` is (B, T, H, W) and ``rasters`` (B, T, map_cells); the
+    Q-values are (B, T, num_actions).  A ``dropout_seed`` selects train mode,
     None eval mode.  The trunk and map branch run on the steps time-major,
     so step t of trace b takes dropout row t*B + b in train mode.  A
     feedforward net maps every step on its own; a recurrent net runs its
@@ -382,15 +376,15 @@ def forward_cached(net: QNetwork, frames: np.ndarray, rasters: np.ndarray,
     frames = np.ascontiguousarray(frames, dtype=dtype)
     rasters = np.ascontiguousarray(rasters, dtype=dtype)
     lead = frames.shape[:-2]
-    if frames.ndim not in (3, 4) or frames.shape[-2:] != (arch.frame_size, arch.frame_size):
+    if frames.ndim != 4 or frames.shape[-2:] != (arch.frame_size, arch.frame_size):
         raise ValueError(f"frame batch shape {frames.shape} does not match architecture")
     if rasters.shape != (*lead, arch.map_cells):
         raise ValueError(f"raster batch shape {rasters.shape} does not match architecture")
     if 0 in lead:
         raise ValueError(f"empty batch of shape {frames.shape}")
 
-    cat, feat_cache = _features_forward(net, _time_major(frames, lead),
-                                        _time_major(rasters, lead), dropout_seed)
+    cat, feat_cache = _features_forward(net, _time_major(frames), _time_major(rasters),
+                                        dropout_seed)
     q, head_cache = _head_forward(net, cat, lead[0], hidden)
     return _batch_major(q, lead), (feat_cache, head_cache)
 
@@ -400,6 +394,6 @@ def backward(net: QNetwork, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
     :func:`forward_cached` is ``dq``, shaped like them."""
     feat_cache, head_cache = cache
     grads = {k: np.zeros_like(v) for k, v in net.params.items()}
-    dfeats = _head_backward(net, head_cache, _time_major(dq, dq.shape[:-1]), grads)
+    dfeats = _head_backward(net, head_cache, _time_major(dq), grads)
     _features_backward(net, feat_cache, dfeats, grads)
     return grads

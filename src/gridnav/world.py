@@ -106,6 +106,8 @@ class WorldSpec:
             raise ValueError("world dimensions must be positive")
         if self.obstacle_density is not None and self.obstacle_density < 0:
             raise ValueError("obstacle density must be non-negative")
+        if self.dynamic_count < 0:
+            raise ValueError("dynamic_count must be non-negative")
         if self.dynamic_count and self.domain != Domain.SAVANNA:
             raise ValueError("dynamic obstacles only exist in the savanna domain")
 

@@ -152,8 +152,8 @@ def test_criterion_3_gradient_oracle():
     for seed in range(14):
         rng = np.random.default_rng(seed)
         net = nn.init_network(arch, seed=seed, dtype=np.float64)
-        frames = rng.uniform(-1, 1, (2, 12, 12))
-        rasters = rng.uniform(-1, 1, (2, 6))
+        frames = rng.uniform(-1, 1, (2, 1, 12, 12))  # 2 one-step traces
+        rasters = rng.uniform(-1, 1, (2, 1, 6))
         actions = rng.integers(0, 4, 2)
         targets = rng.uniform(-1, 1, 2)
         dropout_seed = seed if seed % 2 else None  # exercise the dropout path too
@@ -161,11 +161,11 @@ def test_criterion_3_gradient_oracle():
         def loss_fn(params, _s=dropout_seed):
             probe = nn.QNetwork(arch=arch, params=params)
             q, _ = nn.forward_cached(probe, frames, rasters, dropout_seed=_s)
-            return nn.mse_loss_grad(q, targets, actions)[0]
+            return nn.mse_loss_grad(q[:, 0], targets, actions)[0]
 
         q, cache = nn.forward_cached(net, frames, rasters, dropout_seed=dropout_seed)
-        _, dq = nn.mse_loss_grad(q, targets, actions)
-        grads = nn.backward(net, cache, dq)
+        _, dq = nn.mse_loss_grad(q[:, 0], targets, actions)
+        grads = nn.backward(net, cache, dq[:, None])
         worst = max(worst, _check_all_gradients(loss_fn, net.params, grads))
 
     arch_r = replace(arch, recurrent=True, conv_kernels=(3, 3, 3))

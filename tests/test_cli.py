@@ -119,7 +119,20 @@ class TestConfigHandling:
                                             ("decay_updates", -1),
                                             ("decay_alpha", 0),
                                             ("decay_alpha", 1.5),
-                                            ("decay_alpha", "nan")])
+                                            ("decay_alpha", "nan"),
+                                            ("learning_rate", "nan"),
+                                            ("learning_rate", "inf"),
+                                            ("learning_rate", 0),
+                                            ("max_episodes", -1),
+                                            ("max_episodes", 0),
+                                            ("success_streak", 0),
+                                            ("max_steps_per_episode", 0),
+                                            ("mission_step_budget", 0),
+                                            ("train_steps_per_episode", -1),
+                                            ("sequence_scale", 0),
+                                            ("sequence_scale", -1),
+                                            ("sequence_scale", "inf"),
+                                            ("sequence_scale", "nan")])
     def test_bad_agent_value_is_a_usage_error(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "cfg", **{**TINY_TRAIN, key: value})
         out = tmp_path / "o"
@@ -135,7 +148,9 @@ class TestConfigHandling:
         (dict(world_width=0), "world dimensions must be positive"),
         (dict(weather="clear", intensity=0.15), "clear weather has zero intensity"),
         (dict(weather="fog"), "fog weather needs a non-zero intensity"),
-    ], ids=["forest-movers", "zero-width", "clear-with-intensity", "fog-without-intensity"])
+        (dict(domain="savanna", dynamic_count=-1), "dynamic_count must be non-negative"),
+    ], ids=["forest-movers", "zero-width", "clear-with-intensity", "fog-without-intensity",
+            "negative-movers"])
     @pytest.mark.parametrize("command", ["generate-world", "train", "evaluate"])
     def test_bad_world_or_weather_is_a_usage_error(self, tmp_path, capsys, command, values,
                                                     message):
@@ -149,9 +164,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_trace_longer_than_the_buffer_is_a_usage_error(self, tmp_path, capsys, command):
         # drqn1000's trace can never fit the default 800-slot buffer
-        cfg = write_config(tmp_path / "cfg", **TINY_TRAIN)
+        cfg = write_config(tmp_path / "cfg", **TINY_TRAIN, rule="drqn1000")
         out = tmp_path / "o"
-        code = run_cli(command, "--config", cfg, "--rule", "drqn1000", "--out", str(out))
+        code = run_cli(command, "--config", cfg, "--out", str(out))
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "replay_capacity" in err

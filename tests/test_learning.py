@@ -1,15 +1,26 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridnav import nn
 from gridnav.agent import AgentConfig, UpdateRule, compute_targets, td_targets, train_step
-from gridnav.agent.learning import frame_digest, trunk_rows
-from gridnav.agent.phases import Agent, _State
-from gridnav.agent.replay import ReplayBuffer, Transition
+from gridnav.agent.learning import trunk_rows
+from gridnav.agent.phases import Agent
+from gridnav.agent.replay import ReplayBuffer, State, Transition, frame_digest
+from gridnav.mapping import GridCoord, spawn_local_map
 
 ALL_VALID = np.ones((1, 4), dtype=bool)
+#: a decision map whose agent is off its target cell, and one whose agent is on it
+OPEN_MAP = spawn_local_map(GridCoord(5, 5), GridCoord(0, 0), (10, 10))
+TARGET_MAP = replace(OPEN_MAP, agent_local=OPEN_MAP.target_cell)
+
+
+def state(frame, raster, terminal=False):
+    """A state seeing ``frame`` and ``raster``, with every action valid."""
+    return State(TARGET_MAP if terminal else OPEN_MAP, frame, frame_digest(frame), raster,
+                 np.ones(4, dtype=bool))
 
 
 def targets_for(rule, reward, q_value_row, q_target_row, valid=None, terminal=False,
@@ -99,15 +110,12 @@ def fill_buffer(net, arch, count, rng, terminal_reward=None):
         raster = rng.uniform(-1, 1, arch.map_cells).astype(np.float32)
         action = int(rng.integers(0, 4))
         if terminal_reward is None:
-            q = nn.forward_cached(net, frame[None], raster[None])[0][0]
+            q = nn.forward_cached(net, frame[None, None], raster[None, None])[0][0, 0]
             r = float(q[action])
         else:
             r = terminal_reward
-        buf.push(Transition(frame=frame, raster=raster, action=action, reward=r,
-                            next_frame=frame, next_digest=frame_digest(frame),
-                            next_raster=raster,
-                            terminal=True, valid_next=np.ones(4, dtype=bool),
-                            episode_id=i))
+        buf.push(Transition(state(frame, raster), action, r,
+                            state(frame, raster, terminal=True), episode_id=i))
     return buf
 
 
@@ -207,29 +215,16 @@ class TestTrainStep:
             for i in range(3):  # all episodes shorter than the trace
                 frame = rng.uniform(-1, 1, (arch.frame_size, arch.frame_size))
                 raster = rng.uniform(-1, 1, arch.map_cells)
-                buf.push(Transition(frame=frame.astype(np.float32),
-                                    raster=raster.astype(np.float32),
-                                    action=0, reward=-0.04,
-                                    next_frame=frame.astype(np.float32),
-                                    next_digest=frame_digest(frame.astype(np.float32)),
-                                    next_raster=raster.astype(np.float32),
-                                    terminal=False,
-                                    valid_next=np.ones(4, dtype=bool),
-                                    episode_id=episode))
+                s = state(frame.astype(np.float32), raster.astype(np.float32))
+                buf.push(Transition(s, 0, -0.04, s, episode_id=episode))
         assert train_step(buf, net, nn.clone_params(net), nn.init_adam(net.params),
                           config, rng) is None
 
         for i in range(6):  # one long enough episode
             frame = rng.uniform(-1, 1, (arch.frame_size, arch.frame_size))
             raster = rng.uniform(-1, 1, arch.map_cells)
-            buf.push(Transition(frame=frame.astype(np.float32),
-                                raster=raster.astype(np.float32),
-                                action=i % 4, reward=-0.04,
-                                next_frame=frame.astype(np.float32),
-                                next_digest=frame_digest(frame.astype(np.float32)),
-                                next_raster=raster.astype(np.float32),
-                                terminal=False, valid_next=np.ones(4, dtype=bool),
-                                episode_id=99))
+            s = state(frame.astype(np.float32), raster.astype(np.float32))
+            buf.push(Transition(s, i % 4, -0.04, s, episode_id=99))
         result = train_step(buf, net, nn.clone_params(net), nn.init_adam(net.params),
                             config, rng)
         assert result is not None
@@ -264,10 +259,8 @@ def random_transitions(arch, count, rng):
     for _ in range(count):
         frame = rng.uniform(-1, 1, (arch.frame_size, arch.frame_size)).astype(np.float32)
         raster = rng.uniform(-1, 1, arch.map_cells).astype(np.float32)
-        batch.append(Transition(frame=frame, raster=raster, action=0, reward=-0.04,
-                                next_frame=frame, next_digest=frame_digest(frame),
-                                next_raster=raster, terminal=False,
-                                valid_next=np.ones(4, dtype=bool)))
+        s = state(frame, raster)
+        batch.append(Transition(s, 0, -0.04, s))
     return batch
 
 
@@ -297,17 +290,19 @@ class TestTrunkRows:
         rng = np.random.default_rng(9)
         a, b = (rng.uniform(-1, 1, (2, tiny_arch.frame_size, tiny_arch.frame_size))
                 .astype(np.float32))
+        raster = np.zeros(tiny_arch.map_cells, dtype=np.float32)
         frames = [a, b, a.copy()]
+        states = [state(f, raster) for f in frames]
         passes = []
         image_features = nn.image_features
         monkeypatch.setattr(nn, "image_features",
                             lambda net, x: passes.append(len(x)) or image_features(net, x))
-        rows = trunk_rows(net, frames, [frame_digest(f) for f in frames])
+        rows = trunk_rows(net, states)
         assert passes == [2]  # one batched pass over the distinct misses
         assert len(net.rows) == 2
         assert np.array_equal(rows[0], rows[2])
         assert np.array_equal(rows, image_features(net, np.stack(frames)))
-        trunk_rows(net, [b], [frame_digest(b)])
+        trunk_rows(net, [state(b, raster)])
         assert passes == [2]
 
     @pytest.mark.parametrize("rule", [UpdateRule.DDQN, UpdateRule.EDDQN])
@@ -317,9 +312,7 @@ class TestTrunkRows:
         agent = Agent(value_net=net, target_net=nn.clone_params(net),
                       adam=nn.init_adam(net.params), config=AgentConfig(rule=rule.value))
         seen, unseen = random_transitions(tiny_arch, 2, np.random.default_rng(12))
-        state = _State(local=None, frame=seen.next_frame, digest=seen.next_digest,
-                       raster=seen.next_raster)
-        agent.q_values(state)
+        agent.q_values(seen.next)
         names = {id(agent.value_net): "value", id(agent.target_net): "target"}
         passes = []
         image_features = nn.image_features
@@ -336,13 +329,12 @@ class TestTrunkRows:
                       adam=nn.init_adam(net.params),
                       config=AgentConfig(rule="ddqn", batch_size=2, target_sync_every=2))
         agent.buffer = fill_buffer(net, tiny_arch, 4, rng, terminal_reward=1.0)
-        t = agent.buffer._items[0]
-        state = _State(local=None, frame=t.frame, digest=frame_digest(t.frame), raster=t.raster)
-        agent.q_values(state)
+        seen = agent.buffer._items[0].state
+        agent.q_values(seen)
         assert agent.update(rng) is not None
         assert agent.value_net is not net and not agent.value_net.rows
         assert net.rows and agent.target_net.rows  # the replaced net keeps its rows
-        agent.q_values(state)
+        agent.q_values(seen)
         assert agent.value_net.rows
         assert agent.update(rng) is not None  # the second update syncs the target
         assert not agent.value_net.rows and not agent.target_net.rows
@@ -353,21 +345,18 @@ class TestTrunkRows:
         agent = Agent(value_net=net, target_net=nn.clone_params(net),
                         adam=nn.init_adam(net.params), config=AgentConfig(batch_size=2))
         agent.buffer = fill_buffer(net, tiny_arch, 4, rng, terminal_reward=1.0)
-        t = agent.buffer._items[0]
-        state = _State(local=None, frame=t.frame, digest=frame_digest(t.frame),
-                       raster=t.raster)
+        seen = agent.buffer._items[0].state
         for _ in range(3):
-            want, _ = nn.forward_cached(agent.value_net, t.frame[None], t.raster[None])
-            assert np.array_equal(agent.q_values(state), want[0])
+            want, _ = nn.forward_cached(agent.value_net, seen.frame[None, None],
+                                        seen.raster[None, None])
+            assert np.array_equal(agent.q_values(seen), want[0, 0])
             assert agent.update(rng) is not None
 
     def test_recurrent_action_values_run_the_lstm_from_the_zero_state(self,
                                                                       tiny_recurrent_arch):
         net = nn.init_network(tiny_recurrent_arch, seed=11)
-        t = random_transitions(tiny_recurrent_arch, 1, np.random.default_rng(11))[0]
+        seen = random_transitions(tiny_recurrent_arch, 1, np.random.default_rng(11))[0].state
         agent = Agent(value_net=net, target_net=net, adam=nn.init_adam(net.params),
                         config=AgentConfig(rule="drqn5"))
-        state = _State(local=None, frame=t.frame, digest=frame_digest(t.frame),
-                       raster=t.raster)
-        want, _ = nn.forward_cached(net, t.frame[None, None], t.raster[None, None])
-        assert np.array_equal(agent.q_values(state), want[0, 0])
+        want, _ = nn.forward_cached(net, seen.frame[None, None], seen.raster[None, None])
+        assert np.array_equal(agent.q_values(seen), want[0, 0])

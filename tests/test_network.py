@@ -17,9 +17,10 @@ def forward(net, frames, rasters, **kwargs):
 
 
 def rand_inputs(arch, batch, seed=0, dtype=np.float64):
+    """Frames (B, 1, H, W) and rasters (B, 1, map_cells): B one-step traces."""
     rng = np.random.default_rng(seed)
-    frames = rng.uniform(-1, 1, (batch, arch.frame_size, arch.frame_size)).astype(dtype)
-    rasters = rng.uniform(-1, 1, (batch, arch.map_cells)).astype(dtype)
+    frames = rng.uniform(-1, 1, (batch, 1, arch.frame_size, arch.frame_size)).astype(dtype)
+    rasters = rng.uniform(-1, 1, (batch, 1, arch.map_cells)).astype(dtype)
     return frames, rasters
 
 
@@ -71,7 +72,7 @@ class TestForward:
         net.params["head_b"] = np.array([0.1, -0.2, 0.3, 0.4])
         frames, rasters = rand_inputs(tiny_arch, 3)
         q = forward(net, frames, rasters)
-        assert np.allclose(q, np.tile([0.1, -0.2, 0.3, 0.4], (3, 1)))
+        assert np.allclose(q, np.tile([0.1, -0.2, 0.3, 0.4], (3, 1, 1)))
 
     def test_eval_mode_is_deterministic(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=1)
@@ -94,7 +95,7 @@ class TestForward:
         frames, rasters = rand_inputs(tiny_arch, 2)
         q1 = forward(net, frames, rasters)
         rasters2 = rasters.copy()
-        rasters2[:, 0] += 0.5
+        rasters2[:, 0, 0] += 0.5
         q2 = forward(net, frames, rasters2)
         assert not np.allclose(q1, q2)
 
@@ -102,16 +103,18 @@ class TestForward:
         net = nn.init_network(tiny_arch, seed=0)
         frames, rasters = rand_inputs(tiny_arch, 2)
         with pytest.raises(ValueError):
-            forward(net, frames[:, :-1, :], rasters)
+            forward(net, frames[..., :-1, :], rasters)
         with pytest.raises(ValueError):
-            forward(net, frames, rasters[:, :-1])
+            forward(net, frames, rasters[..., :-1])
+        with pytest.raises(ValueError):  # a batch is B traces of T steps
+            forward(net, frames[:, 0], rasters[:, 0])
 
     def test_feature_split_matches_full_forward(self, tiny_arch):
         net = nn.init_network(tiny_arch, seed=3)
         frames, rasters = rand_inputs(tiny_arch, 5)
-        feats = nn.image_features(net, frames)
+        feats = nn.image_features(net, frames[:, 0])
         assert feats.shape == (5, tiny_arch.image_features)
-        q_split = nn.q_from_features(net, feats, rasters)
+        q_split = nn.q_from_features(net, feats[:, None], rasters)
         q_full = forward(net, frames, rasters)
         assert np.allclose(q_split, q_full)
 
@@ -139,10 +142,10 @@ class TestPooledTrunk:
         arch = nn.ArchitectureSpec()
         net = nn.init_network(arch, seed=rows)
         frames, rasters = rand_inputs(arch, rows, seed=rows, dtype=np.float32)
-        ref = self.one_chunk_at_a_time(lambda f: nn.image_features(net, f), frames)
-        assert nn.image_features(net, frames).tobytes() == ref.tobytes()
+        ref = self.one_chunk_at_a_time(lambda f: nn.image_features(net, f), frames[:, 0])
+        assert nn.image_features(net, frames[:, 0]).tobytes() == ref.tobytes()
         q, _ = nn.forward_cached(net, frames, rasters)
-        assert q.tobytes() == nn.q_from_features(net, ref, rasters).tobytes()
+        assert q.tobytes() == nn.q_from_features(net, ref[:, None], rasters).tobytes()
 
     @pytest.mark.parametrize("one_blas_thread", [False, True])
     def test_a_row_does_not_depend_on_its_pass(self, one_blas_thread):
@@ -150,7 +153,7 @@ class TestPooledTrunk:
         # trunk runs it as a GEMM too
         arch = nn.ArchitectureSpec()
         net = nn.init_network(arch, seed=24)
-        frames, _ = rand_inputs(arch, 24, seed=24, dtype=np.float32)
+        frames = rand_inputs(arch, 24, seed=24, dtype=np.float32)[0][:, 0]
         whole = nn.image_features(net, frames)
         differing = []
         with pool.one_blas_thread() if one_blas_thread else contextlib.nullcontext():
@@ -188,10 +191,10 @@ class TestPooledTrunk:
 
         def loss(params):
             q = forward(nn.QNetwork(arch, params), frames, rasters, dropout_seed=5)
-            return nn.mse_loss_grad(q, targets, actions)[0]
+            return nn.mse_loss_grad(q[:, 0], targets, actions)[0]
 
         q, cache = nn.forward_cached(net, frames, rasters, dropout_seed=5)
-        grads = nn.backward(net, cache, nn.mse_loss_grad(q, targets, actions)[1])
+        grads = nn.backward(net, cache, nn.mse_loss_grad(q[:, 0], targets, actions)[1][:, None])
         rng = np.random.default_rng(0)
         for key, value in net.params.items():
             for index in rng.choice(value.size, size=min(value.size, 6), replace=False):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gridnav.agent import phases
+from gridnav.agent import phases, replay
 from gridnav.agent import (
     Agent,
     AgentConfig,
@@ -13,7 +13,7 @@ from gridnav.agent import (
     run_exploration_phase,
     write_training_log,
 )
-from gridnav.mapping import Action, GridCoord
+from gridnav.mapping import Action, ConstraintClass, GridCoord, classify_action, valid_action_mask
 from gridnav.world import (
     Domain,
     WeatherCondition,
@@ -89,6 +89,26 @@ class TestExplorationPhase:
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(TRAINING_LOG_COLUMNS)
         assert len(lines) == 4
+
+    def test_a_nan_loss_is_logged_as_nan(self, tmp_path, phase_arch, small_world, monkeypatch):
+        # an empty cell means that no update ran, so a NaN loss must not read as one
+        train_step = phases.train_step
+
+        def nan_loss(*args):
+            result = train_step(*args)
+            return None if result is None else (*result[:2], math.nan)
+
+        monkeypatch.setattr(phases, "train_step", nan_loss)
+        env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
+                            goal=GridCoord(8, 8))
+        config = AgentConfig(max_episodes=4, success_streak=50, max_steps_per_episode=5,
+                             batch_size=8, exploration_train_interval=None)
+        episodes, _ = train(env, config, seed=3, arch=phase_arch)
+        path = tmp_path / "log.csv"
+        write_training_log(episodes, path)
+        cells = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+        assert cells[0] == "" and "nan" in cells  # the first episode cannot fill a batch
+        assert set(cells) == {"", "nan"}
 
     def test_transitions_accumulate_in_the_replay_buffer(self, phase_arch, small_world):
         env = NavigationEnv(world=small_world, start=GridCoord(1, 1),
@@ -292,7 +312,7 @@ class TestSharedTransition:
         assert report.time_s > 1
         assert calls[0] == report.time_s + 1
         for t in range(len(buf) - 1):
-            assert np.array_equal(buf._items[t].next_frame, buf._items[t + 1].frame)
+            assert np.array_equal(buf._items[t].next.frame, buf._items[t + 1].state.frame)
 
     def test_moving_world_renders_each_frame_once(self, phase_arch, monkeypatch):
         # the stored next frame is the one the agent decides on next, drawn
@@ -305,7 +325,7 @@ class TestSharedTransition:
         assert report.time_s > 1
         assert calls[0] == report.time_s + 1
         for t in range(len(buf) - 1):
-            assert np.array_equal(buf._items[t].next_frame, buf._items[t + 1].frame)
+            assert np.array_equal(buf._items[t].next.frame, buf._items[t + 1].state.frame)
 
     def test_reused_frame_matches_a_fresh_weathered_render(self, phase_arch, small_world):
         snow = WeatherCondition(WeatherKind.SNOW, 0.30)
@@ -316,5 +336,49 @@ class TestSharedTransition:
             fresh = apply_weather(render_frame(small_world, report.route[t], facing,
                                                size=phase_arch.frame_size),
                                   snow, rng_seed=3 + t + 1)
-            assert np.array_equal(buf._items[t].frame, fresh)
+            assert np.array_equal(buf._items[t].state.frame, fresh)
             facing = Action(buf._items[t].action)
+
+
+def trained_buffer(arch, world, seed=6):
+    """The episode logs and replay buffer of a short training run on ``world``."""
+    env = NavigationEnv(world=world, start=GridCoord(1, 1), goal=GridCoord(8, 8))
+    config = AgentConfig(max_episodes=6, success_streak=50, max_steps_per_episode=20)
+    agent = Agent.new(config, seed=seed, arch=arch)
+    logs, _ = run_exploration_phase(env, agent, seed=seed)
+    return logs, list(agent.buffer._items)
+
+
+class TestStateRecord:
+    """A transition is (state, action, reward, next state), and each state
+    is observed once."""
+
+    def test_a_next_state_is_the_following_decisions_state(self, phase_arch, small_world):
+        _, trained = trained_buffer(phase_arch, small_world)
+        _, flown = fly(phase_arch, small_world, seed=1)
+        for items in (trained, list(flown._items)):
+            pairs = [(a, b) for a, b in zip(items, items[1:]) if a.episode_id == b.episode_id]
+            assert pairs
+            assert all(a.next is b.state for a, b in pairs)
+
+    def test_a_voided_step_keeps_its_state(self, phase_arch, small_world):
+        _, items = trained_buffer(phase_arch, small_world)
+        voided = [classify_action(t.state.local, t.action) == ConstraintClass.HARD
+                  for t in items]
+        assert any(voided) and not all(voided)
+        assert [t.next is t.state for t in items] == voided
+
+    def test_the_valid_mask_is_taken_once_per_observed_state(self, phase_arch, small_world,
+                                                            monkeypatch):
+        calls = [0]
+
+        def counting(local):
+            calls[0] += 1
+            return valid_action_mask(local)
+
+        monkeypatch.setattr(replay, "valid_action_mask", counting)
+        logs, items = trained_buffer(phase_arch, small_world)
+        assert any(t.next is t.state for t in items)  # voided steps observe nothing
+        observed = {id(s) for t in items for s in (t.state, t.next)}
+        # an episode spawned on its target takes no step, so pushes nothing
+        assert calls[0] == len(observed) + sum(log.steps == 0 for log in logs)

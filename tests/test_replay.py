@@ -3,25 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridnav.agent.learning import frame_digest
-from gridnav.agent.replay import ReplayBuffer, Transition
+from gridnav.agent.replay import ReplayBuffer, State, Transition, frame_digest
 
 
 def make_transition(tag: int, episode: int) -> Transition:
     frame = np.full((2, 2), float(tag), dtype=np.float32)
-    raster = np.full(4, float(tag), dtype=np.float32)
-    return Transition(
-        frame=frame,
-        raster=raster,
-        action=tag % 4,
-        reward=-0.04,
-        next_frame=frame,
-        next_digest=frame_digest(frame),
-        next_raster=raster,
-        terminal=False,
-        valid_next=np.ones(4, dtype=bool),
-        episode_id=episode,
-    )
+    state = State(local=None, frame=frame, digest=frame_digest(frame),
+                  raster=np.full(4, float(tag), dtype=np.float32), valid=np.ones(4, dtype=bool))
+    return Transition(state, action=tag % 4, reward=-0.04, next=state, episode_id=episode)
 
 
 def test_capacity_default_and_fifo_eviction():
@@ -31,9 +20,9 @@ def test_capacity_default_and_fifo_eviction():
         buf.push(make_transition(i, episode=i // 100))
     assert len(buf) == 800
     # the very first transition is gone and order is preserved
-    assert buf._items[0].frame[0, 0] == 1.0
-    assert buf._items[799].frame[0, 0] == 800.0
-    assert all(buf._items[i].frame[0, 0] == float(i + 1) for i in range(0, 800, 97))
+    assert buf._items[0].state.frame[0, 0] == 1.0
+    assert buf._items[799].state.frame[0, 0] == 800.0
+    assert all(buf._items[i].state.frame[0, 0] == float(i + 1) for i in range(0, 800, 97))
 
 
 def test_sample_without_replacement():
@@ -42,7 +31,7 @@ def test_sample_without_replacement():
         buf.push(make_transition(i, episode=0))
     rng = np.random.default_rng(0)
     batch = buf.sample(32, rng)
-    tags = [int(t.frame[0, 0]) for t in batch]
+    tags = [int(t.state.frame[0, 0]) for t in batch]
     assert len(tags) == len(set(tags)) == 32
 
 
@@ -77,7 +66,7 @@ def test_sampled_sequences_are_contiguous_single_episode_runs():
         assert len(seq) == 5
         episodes = {t.episode_id for t in seq}
         assert len(episodes) == 1
-        tags = [int(t.frame[0, 0]) for t in seq]
+        tags = [int(t.state.frame[0, 0]) for t in seq]
         assert tags == list(range(tags[0], tags[0] + 5))
 
 
@@ -96,7 +85,7 @@ def test_eviction_can_trim_episode_heads_but_segments_stay_legal():
     for i in range(8, 15):
         buf.push(make_transition(i, episode=2))
     # capacity 10: buffer now holds tags 5..14 (3 from ep1, 7 from ep2)
-    assert [int(buf._items[i].frame[0, 0]) for i in range(3)] == [5, 6, 7]
+    assert [int(buf._items[i].state.frame[0, 0]) for i in range(3)] == [5, 6, 7]
     for start in buf.sequence_starts(3):
         episodes = {buf._items[start + o].episode_id for o in range(3)}
         assert len(episodes) == 1
