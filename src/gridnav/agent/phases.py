@@ -37,15 +37,11 @@ from ..mapping import (
     Action,
     BoxedInError,
     CellState,
-    ConstraintClass,
     GridCoord,
     LocalMap,
-    action_destination,
-    apply_move,
-    classify_action,
     mark_blocked,
+    move,
     retarget,
-    reward,
     spawn_local_map,
 )
 from ..world import (
@@ -204,26 +200,25 @@ def _transition(agent: Agent, state: State, world: World, goal: GridCoord,
     """One decision of either phase, pushed to the replay buffer.
 
     Selects epsilon-greedily (with ``correct``, unsafe predictions are
-    replaced by :func:`correct_action`), classifies and rewards the action,
-    then moves, senses and retargets, or voids a hard-constrained action in
-    place, so that its next state is its state.  ``render(cell, facing)``
-    draws the next frame.  Returns ``(next_state, decision, reward,
-    sensed)``, or None when the agent is boxed in.
+    replaced by :func:`correct_action`) and takes the reward and the moved
+    map from ``mapping.move``.  A hard-constrained action has no moved map
+    and is voided in place, so that its next state is its state; otherwise
+    the agent senses and retargets from the moved map and
+    ``render(cell, facing)`` draws the next frame.  Returns ``(next_state,
+    decision, reward, sensed)``, or None when the agent is boxed in.
     """
-    local = state.local
     try:
         action, decision = epsilon_greedy(agent.q_values(state), state.valid, epsilon, rng)
         if correct and decision == PolicyDecision.PREDICTED:
-            action, decision = correct_action(local, action)
+            action, decision = correct_action(state.local, action, state.valid)
     except BoxedInError:
         return None
 
-    constraint = classify_action(local, action)
-    r = reward(action_destination(local, action), local, local.target_global)
-    if constraint == ConstraintClass.HARD:
+    r, moved = move(state.local, action)
+    if moved is None:
         nxt, sensed = state, set()
     else:
-        next_local, sensed = _sensed_local_map(apply_move(local, action), world, goal)
+        next_local, sensed = _sensed_local_map(moved, world, goal)
         nxt = State.observe(next_local, render(next_local.agent_global, action))
     agent.buffer.push(Transition(state, int(action), r, nxt, episode_id))
     return nxt, decision, r, sensed
@@ -347,15 +342,12 @@ def run_exploitation_phase(
         frame = render_frame(world, cell, facing, size=frame_size)
         return apply_weather(frame, weather, rng_seed=seed + step)
 
-    def advanced(world: World) -> World:
-        """The world one step (one second) on; a static world is itself."""
-        return step_dynamics(world, 1.0) if world.has_dynamics else world
-
     local, sensed = _spawn(env.start, world, env.goal)
     obstacles_seen: set[GridCoord] = set(sensed)
-    # decision 1 sees the world one step after the spawn, like every later
-    # decision sees it one step after the previous one
-    world = advanced(world)
+    # decision 1 sees the world one step (one second) after the spawn, like
+    # every later decision sees it one step after the previous one; a static
+    # world steps to itself
+    world = step_dynamics(world, 1.0)
     state = State.observe(local, observe(world, env.start, Action.NORTH, 1))
     route = [env.start]
     counts = {PolicyDecision.PREDICTED: 0, PolicyDecision.CORRECTED: 0, PolicyDecision.RANDOM: 0}
@@ -365,7 +357,7 @@ def run_exploitation_phase(
     while steps < config.mission_step_budget and state.agent != env.goal:
         steps += 1
         # the next frame shows the world the next decision is made in
-        next_world = advanced(world)
+        next_world = step_dynamics(world, 1.0)
         step = _transition(agent, state, world, env.goal, config.epsilon_test,
                            correct=True, episode_id=episode_id, rng=rng,
                            render=partial(observe, next_world, step=steps + 1))

@@ -12,16 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..mapping import (
-    ACTION_DELTAS,
-    ACTIONS,
-    Action,
-    BoxedInError,
-    ConstraintClass,
-    LocalMap,
-    classify_action,
-    valid_action_mask,
-)
+from ..mapping import ACTION_DELTAS, ACTIONS, Action, BoxedInError, LocalMap
 
 
 class PolicyDecision(Enum):
@@ -58,28 +49,27 @@ def epsilon_greedy(
 
 
 def correct_action(
-    local: LocalMap, predicted: Action
+    local: LocalMap, predicted: Action, valid_actions: np.ndarray
 ) -> tuple[Action, PolicyDecision]:
     """Exploitation-time safety net for predicted actions.
 
-    A prediction landing in a free or previously visited cell passes
-    through.  Otherwise the valid action whose destination is nearest
-    (Euclidean) to the target cell replaces it, ties broken in N, S, E, W
-    order.  With no valid action at all the agent is boxed in, which is a
-    mission-level failure.
+    ``valid_actions`` is ``local``'s valid-action mask.  A valid prediction
+    (into a free or previously visited cell) passes through.  Otherwise the
+    valid action whose destination is nearest (Euclidean) to the target
+    cell replaces it, ties broken in N, S, E, W order.  With no valid
+    action at all the agent is boxed in, which is a mission-level failure.
     """
-    if classify_action(local, predicted) != ConstraintClass.HARD:
+    if valid_actions[predicted]:
         return predicted, PolicyDecision.PREDICTED
 
-    mask = valid_action_mask(local)
-    if not mask.any():
+    if not valid_actions.any():
         raise BoxedInError("agent is boxed in: all four destinations are blocked")
 
     target = local.target_cell
     best_action = None
     best_d2 = None
     for action in ACTIONS:
-        if not mask[action]:
+        if not valid_actions[action]:
             continue
         dr, dc = ACTION_DELTAS[action]
         dest_r = local.agent_local.row + dr

@@ -80,7 +80,7 @@ class RunConfig(AgentConfig):
     decay_alpha: float = 0.5
 
     def __post_init__(self) -> None:
-        # reject bad agent, world, weather and decay values before any command runs
+        # reject bad agent, world, weather, decay and seed values before any command runs
         super().__post_init__()
         if self.decay_updates < 0:
             raise ValueError("decay_updates must be >= 0")
@@ -88,6 +88,8 @@ class RunConfig(AgentConfig):
             raise ValueError("decay_alpha must be in (0, 1]")
         if not 0.0 < self.sequence_scale < math.inf:
             raise ValueError("sequence_scale must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         self.world_spec()
         self.weather_condition()
 

@@ -13,6 +13,10 @@ A map's ``cells`` hold only learned states; the agent and the target live
 only in the decision map's ``agent_local`` and ``target_cell`` fields, and
 only :func:`render_decision_map` draws them into the raster.
 
+:func:`move` is the one move rule: what an attempted action pays and the
+map it leads to, or None when the action is hard-constrained and so voided
+in place.
+
 All operations here are value-level: they return new map objects and never
 mutate their inputs, so maps can be shared freely across threads.
 """
@@ -84,6 +88,10 @@ class ConstraintClass(Enum):
 #: traversable" reads as "brighter".
 _RASTER_CODES = np.array([1.0, 0.0, -1.0], dtype=np.float32)
 
+#: What a move into a cell inside the search area pays, indexed by
+#: :class:`CellState`, unless the cell is the target.
+_CELL_REWARDS = (REWARD_VALID, REWARD_VISITED, REWARD_BLOCKED)
+
 #: Local coordinates of the 36-cell boundary ring, in row-major order so a
 #: first-minimum scan implements the row-major tie-break.
 BOUNDARY_RING: tuple[GridCoord, ...] = tuple(
@@ -95,10 +103,6 @@ BOUNDARY_RING: tuple[GridCoord, ...] = tuple(
 
 _RING_ROWS = np.array([c.row for c in BOUNDARY_RING])
 _RING_COLS = np.array([c.col for c in BOUNDARY_RING])
-
-
-class HardConstraintError(ValueError):
-    """A hard-constrained move was applied instead of being voided."""
 
 
 class BoxedInError(RuntimeError):
@@ -129,10 +133,6 @@ class LocalMap:
     @property
     def agent_global(self) -> GridCoord:
         return local_to_global(self, self.agent_local)
-
-    @property
-    def target_global(self) -> GridCoord:
-        return local_to_global(self, self.target_cell)
 
 
 def local_to_global(local: LocalMap, coord: GridCoord) -> GridCoord:
@@ -223,21 +223,37 @@ def valid_action_mask(local: LocalMap) -> np.ndarray:
     )
 
 
-def action_destination(local: LocalMap, action: Action) -> GridCoord:
-    """Global coordinate of the cell the action drives at (may be anywhere)."""
-    dr, dc = ACTION_DELTAS[action]
-    return GridCoord(local.agent_global.row + dr, local.agent_global.col + dc)
+def move(local: LocalMap, action: Action) -> tuple[float, LocalMap | None]:
+    """What an attempted action pays, and the map it leads to.
 
+    The reward is read from the cell the action drives at, with precedence
+    reached (the target cell) > blocked > visited > valid > invalid.  A cell
+    off the window is invalid, and so is a blocked cell that merely stands
+    in for territory beyond the search area: the offence there is leaving
+    the search area rather than hitting an obstacle.
 
-def apply_move(local: LocalMap, action: Action) -> LocalMap:
-    """Execute a permitted move: the cell the agent leaves becomes visited."""
-    if classify_action(local, action) == ConstraintClass.HARD:
-        raise HardConstraintError(f"{action.name} is hard-constrained from {local.agent_local}")
+    The map is None when the action is hard-constrained (off the window or
+    into a blocked cell), which voids it in place; otherwise the agent moves
+    and the cell it leaves becomes visited.
+    """
     dr, dc = ACTION_DELTAS[action]
     dest = GridCoord(local.agent_local.row + dr, local.agent_local.col + dc)
+    if not in_local_bounds(dest):
+        return REWARD_INVALID, None
+    row, col = local_to_global(local, dest)
+    height, width = local.world_shape
+    state = local.cells[dest]
+    if dest == local.target_cell:
+        r = REWARD_REACHED
+    elif 0 <= row < height and 0 <= col < width:
+        r = _CELL_REWARDS[state]
+    else:
+        r = REWARD_INVALID
+    if state == CellState.BLOCKED:
+        return r, None
     cells = local.cells.copy()
     cells[local.agent_local] = CellState.VISITED
-    return replace(local, cells=cells, agent_local=dest)
+    return r, replace(local, cells=cells, agent_local=dest)
 
 
 def mark_blocked(local: LocalMap, blocked_global: Iterable[GridCoord]) -> LocalMap:
@@ -258,30 +274,6 @@ def mark_blocked(local: LocalMap, blocked_global: Iterable[GridCoord]) -> LocalM
 def retarget(local: LocalMap, goal_global: GridCoord) -> LocalMap:
     """Re-select the target cell (used when sensing blocked the current one)."""
     return replace(local, target_cell=select_target_cell(local, goal_global))
-
-
-def reward(outcome_cell_global: GridCoord, local: LocalMap, goal_global: GridCoord) -> float:
-    """Reward for the cell an attempted action drove at.
-
-    Precedence: reached > blocked > visited > valid > invalid.  Blocked
-    cells that merely stand in for territory beyond the search area fall
-    through to the invalid branch, since the offence there is leaving the
-    search area rather than hitting an obstacle.
-    """
-    if outcome_cell_global == goal_global:
-        return REWARD_REACHED
-
-    loc = global_to_local(local, outcome_cell_global)
-    height, width = local.world_shape
-    inside_world = 0 <= outcome_cell_global.row < height and 0 <= outcome_cell_global.col < width
-    if not in_local_bounds(loc) or not inside_world:
-        return REWARD_INVALID
-    state = local.cells[loc]
-    if state == CellState.BLOCKED:
-        return REWARD_BLOCKED
-    if state == CellState.VISITED:
-        return REWARD_VISITED
-    return REWARD_VALID
 
 
 def render_decision_map(local: LocalMap) -> np.ndarray:

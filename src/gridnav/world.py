@@ -104,8 +104,10 @@ class WorldSpec:
     def __post_init__(self) -> None:
         if self.width_m <= 0 or self.height_m <= 0:
             raise ValueError("world dimensions must be positive")
-        if self.obstacle_density is not None and self.obstacle_density < 0:
-            raise ValueError("obstacle density must be non-negative")
+        if self.obstacle_density is not None and not 0 <= self.obstacle_density < math.inf:
+            raise ValueError("obstacle density must be finite and non-negative")
+        if self.seed < 0:
+            raise ValueError("world seed must be non-negative")
         if self.dynamic_count < 0:
             raise ValueError("dynamic_count must be non-negative")
         if self.dynamic_count and self.domain != Domain.SAVANNA:

@@ -41,14 +41,13 @@ from gridnav.mapping import (
     ConstraintClass,
     GridCoord,
     classify_action,
-    apply_move,
     global_to_local,
     in_local_bounds,
     local_to_global,
     mark_blocked,
+    move,
     render_decision_map,
     retarget,
-    reward,
     spawn_local_map,
     valid_action_mask,
     REWARD_BLOCKED,
@@ -77,20 +76,36 @@ def ok(number: int, name: str) -> None:
 
 
 def test_criterion_1_reward_exactness():
-    local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 90), (100, 100))
-    goal = local.target_global
+    world = (100, 100)
+    local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 90), world)
 
-    assert reward(goal, local, goal) == 1.0
+    def after(local, *actions):
+        for action in actions:
+            local = move(local, action)[1]
+        return local
+
+    # the target cell: one step east of the agent
+    assert move(spawn_local_map(GridCoord(50, 50), GridCoord(50, 51), world),
+                Action.EAST)[0] == 1.0
 
     blocked = mark_blocked(local, [GridCoord(49, 50)])
-    assert reward(GridCoord(49, 50), blocked, goal) == -1.50
+    assert move(blocked, Action.NORTH) == (-1.50, None)
 
-    visited = apply_move(local, Action.NORTH)
-    assert reward(GridCoord(50, 50), visited, goal) == -0.25
+    assert move(after(local, Action.NORTH), Action.SOUTH)[0] == -0.25
 
-    assert reward(GridCoord(51, 50), local, goal) == -0.04
+    assert move(local, Action.SOUTH)[0] == -0.04
 
-    assert reward(GridCoord(50, 61), local, goal) == -0.75
+    # off the window's top row, still inside the world
+    assert move(after(local, *[Action.NORTH] * 5), Action.NORTH) == (-0.75, None)
+
+    # into a clipped border cell, beyond the world's top row
+    border = spawn_local_map(GridCoord(0, 50), GridCoord(90, 50), world)
+    assert border.cells[4, 5] == CellState.BLOCKED
+    assert move(border, Action.NORTH) == (-0.75, None)
+
+    # the target cell wins over a visited one
+    revisit = retarget(after(local, Action.NORTH), GridCoord(50, 50))
+    assert move(revisit, Action.SOUTH)[0] == 1.0
 
     assert (REWARD_REACHED, REWARD_BLOCKED, REWARD_VISITED, REWARD_VALID,
             REWARD_INVALID) == (1.0, -1.50, -0.25, -0.04, -0.75)
@@ -267,11 +282,11 @@ def test_criterion_6_correction_policy_oracle():
         mask = valid_action_mask(local)
         if not mask.any():
             with pytest.raises(BoxedInError):
-                correct_action(local, predicted)
+                correct_action(local, predicted, mask)
             boxed += 1
             continue
 
-        got_action, got_label = correct_action(local, predicted)
+        got_action, got_label = correct_action(local, predicted, mask)
 
         # oracle: exhaustive argmin over the valid actions
         if classify_action(local, predicted) != ConstraintClass.HARD:
@@ -353,7 +368,7 @@ def replay_route_and_verify(report, world, start, goal):
         )
         dest_local = global_to_local(local, there)
         assert local.cells[dest_local] in (CellState.FREE, CellState.VISITED)
-        local = apply_move(local, action)
+        local = move(local, action)[1]
         local = mark_blocked(local, sense_obstacles(world, there))
         if local.cells[local.target_cell] == CellState.BLOCKED:
             local = retarget(local, goal)

@@ -99,6 +99,13 @@ class TestConfigHandling:
         text = (out / "effective_config.txt").read_text()
         assert "seed = 123" in text
 
+    def test_negative_nav_seed_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NAV_SEED", "-1")
+        out = tmp_path / "o"
+        assert run_cli("decay", "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
+        assert not out.exists()
+
     def test_effective_config_round_trips(self, tmp_path):
         out1 = tmp_path / "o1"
         assert run_cli("decay", "--updates", "3", "--seed", "9", "--out",
@@ -149,12 +156,18 @@ class TestConfigHandling:
         (dict(weather="clear", intensity=0.15), "clear weather has zero intensity"),
         (dict(weather="fog"), "fog weather needs a non-zero intensity"),
         (dict(domain="savanna", dynamic_count=-1), "dynamic_count must be non-negative"),
+        (dict(obstacle_density="inf"), "obstacle density must be finite and non-negative"),
+        (dict(obstacle_density="nan"), "obstacle density must be finite and non-negative"),
+        (dict(world_seed=-1), "world seed must be non-negative"),
+        (dict(seed=-1), "seed must be non-negative"),
     ], ids=["forest-movers", "zero-width", "clear-with-intensity", "fog-without-intensity",
-            "negative-movers"])
+            "negative-movers", "infinite-density", "nan-density", "negative-world-seed",
+            "negative-seed"])
     @pytest.mark.parametrize("command", ["generate-world", "train", "evaluate"])
     def test_bad_world_or_weather_is_a_usage_error(self, tmp_path, capsys, command, values,
                                                     message):
-        cfg = write_config(tmp_path / "cfg", **values)
+        # over a tiny run, so that a check that stops firing fails fast
+        cfg = write_config(tmp_path / "cfg", **{**TINY_TRAIN, **values})
         out = tmp_path / "o"
         code = run_cli(command, "--config", cfg, "--out", str(out))
         assert code == EXIT_USAGE
@@ -270,9 +283,14 @@ class TestTrain:
          "not a world document"),
         (json.dumps({**SMALL_WORLD_DOC, "spec": {**SMALL_WORLD_DOC["spec"], "width_m": None}}),
          "not a world document"),
+        (json.dumps({**SMALL_WORLD_DOC, "spec": {**SMALL_WORLD_DOC["spec"], "seed": -1}}),
+         "world seed must be non-negative"),
+        (json.dumps({**SMALL_WORLD_DOC,
+                     "spec": {**SMALL_WORLD_DOC["spec"], "obstacle_density": float("nan")}}),
+         "obstacle density must be finite and non-negative"),
     ], ids=["missing-file", "not-json", "obstacle-without-x", "zero-width", "json-list",
             "obstacle-not-object", "obstacles-not-list", "spec-not-object", "null-x",
-            "null-width"])
+            "null-width", "negative-seed", "nan-density"])
     def test_bad_world_file_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "world.json"
         if text is not None:

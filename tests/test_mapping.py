@@ -14,28 +14,34 @@ from gridnav.mapping import (
     CellState,
     ConstraintClass,
     GridCoord,
-    HardConstraintError,
     LOCAL_SIZE,
     REWARD_BLOCKED,
     REWARD_INVALID,
     REWARD_REACHED,
     REWARD_VALID,
     REWARD_VISITED,
-    apply_move,
     classify_action,
     global_to_local,
     in_local_bounds,
     local_to_global,
     mark_blocked,
+    move,
     render_decision_map,
     retarget,
-    reward,
     select_target_cell,
     spawn_local_map,
     valid_action_mask,
 )
 
 WORLD = (100, 300)
+
+
+def moved(local, *actions):
+    """``local`` after each of ``actions``, none of which may be voided."""
+    for action in actions:
+        local = move(local, action)[1]
+        assert local is not None, f"{action.name} was voided"
+    return local
 
 
 def brute_force_target(local, goal):
@@ -124,8 +130,7 @@ class TestClassifyAndMove:
 
     def test_visited_destination_is_soft(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
-        local = apply_move(local, Action.WEST)
-        local = apply_move(local, Action.EAST)
+        local = moved(local, Action.WEST, Action.EAST)
         assert classify_action(local, Action.WEST) == ConstraintClass.SOFT
 
     def test_free_destination_is_unconstrained(self):
@@ -134,18 +139,17 @@ class TestClassifyAndMove:
 
     def test_window_edge_is_hard(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
-        for _ in range(5):
-            local = apply_move(local, Action.NORTH)
+        local = moved(local, *[Action.NORTH] * 5)
         assert local.agent_local.row == 0
         assert classify_action(local, Action.NORTH) == ConstraintClass.HARD
 
     def test_move_updates_both_cells(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
-        moved = apply_move(local, Action.NORTH)
-        assert moved.agent_local == GridCoord(4, 5)
-        assert moved.cells[5, 5] == CellState.VISITED
-        assert moved.cells[4, 5] == CellState.FREE
-        assert render_decision_map(moved)[4 * LOCAL_SIZE + 5] == -0.5
+        north = moved(local, Action.NORTH)
+        assert north.agent_local == GridCoord(4, 5)
+        assert north.cells[5, 5] == CellState.VISITED
+        assert north.cells[4, 5] == CellState.FREE
+        assert render_decision_map(north)[4 * LOCAL_SIZE + 5] == -0.5
         # value semantics: the source map is untouched
         assert local.agent_local == GridCoord(5, 5)
         assert local.cells[5, 5] == CellState.FREE
@@ -153,61 +157,67 @@ class TestClassifyAndMove:
 
     def test_move_changes_exactly_two_cells(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
-        moved = apply_move(local, Action.EAST)
-        diff = np.flatnonzero(render_decision_map(local) != render_decision_map(moved))
+        east = moved(local, Action.EAST)
+        diff = np.flatnonzero(render_decision_map(local) != render_decision_map(east))
         assert len(diff) == 2
 
     def test_soft_move_is_permitted(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
-        local = apply_move(local, Action.EAST)
-        local = apply_move(local, Action.WEST)  # back onto the visited cell
-        assert local.agent_local == GridCoord(5, 5)
+        local = moved(local, Action.EAST)
+        back = move(local, Action.WEST)[1]  # back onto the visited cell
+        assert back is not None and back.agent_local == GridCoord(5, 5)
 
-    def test_hard_move_raises_and_leaves_map_unchanged(self):
+    def test_hard_move_is_voided_and_leaves_map_unchanged(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
         local = mark_blocked(local, [GridCoord(49, 50)])
         before = np.asarray(local.cells).copy()
-        with pytest.raises(HardConstraintError):
-            apply_move(local, Action.NORTH)
+        assert move(local, Action.NORTH)[1] is None
         assert np.array_equal(before, np.asarray(local.cells))
+        assert local.agent_local == GridCoord(5, 5)
 
 
 class TestReward:
+    """Each reward case, paid for an action from a map built for it."""
+
     def setup_method(self):
         self.local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
-        self.goal = self.local.target_global
 
     def test_reaching_goal(self):
-        assert reward(self.goal, self.local, self.goal) == REWARD_REACHED
+        local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 51), WORLD)
+        assert local.target_cell == GridCoord(5, 6)
+        value, east = move(local, Action.EAST)
+        assert value == REWARD_REACHED
+        assert east.agent_local == east.target_cell
 
     def test_blocked_cell(self):
         local = mark_blocked(self.local, [GridCoord(49, 50)])
-        value = reward(GridCoord(49, 50), local, self.goal)
-        assert value == REWARD_BLOCKED
+        assert move(local, Action.NORTH) == (REWARD_BLOCKED, None)
 
     def test_visited_cell(self):
-        local = apply_move(self.local, Action.NORTH)
-        value = reward(GridCoord(50, 50), local, self.goal)
-        assert value == REWARD_VISITED
+        local = moved(self.local, Action.NORTH)
+        assert move(local, Action.SOUTH)[0] == REWARD_VISITED
 
     def test_free_cell(self):
-        value = reward(GridCoord(49, 50), self.local, self.goal)
-        assert value == REWARD_VALID
+        assert move(self.local, Action.NORTH)[0] == REWARD_VALID
 
     def test_outside_window_is_invalid(self):
-        value = reward(GridCoord(50, 61), self.local, self.goal)
-        assert value == REWARD_INVALID
+        local = moved(self.local, *[Action.NORTH] * 5)
+        assert local.agent_global == GridCoord(45, 50)  # row 44 is in the world
+        assert move(local, Action.NORTH) == (REWARD_INVALID, None)
 
     def test_clipped_border_cell_is_invalid_not_blocked(self):
         local = spawn_local_map(GridCoord(2, 50), GridCoord(90, 50), WORLD)
+        local = moved(local, Action.NORTH, Action.NORTH)
         # global row -1 is inside the window but outside the search area
-        value = reward(GridCoord(-1, 50), local, local.target_global)
-        assert value == REWARD_INVALID
+        assert local.agent_global == GridCoord(0, 50)
+        assert local.cells[local.agent_local.row - 1, local.agent_local.col] == CellState.BLOCKED
+        assert move(local, Action.NORTH) == (REWARD_INVALID, None)
 
     def test_goal_precedence_beats_visited(self):
-        local = apply_move(self.local, Action.NORTH)
-        goal = GridCoord(50, 50)  # revisiting the start, declared as the goal
-        assert reward(goal, local, goal) == REWARD_REACHED
+        # revisiting the start, declared as the goal
+        local = retarget(moved(self.local, Action.NORTH), GridCoord(50, 50))
+        assert local.cells[local.target_cell] == CellState.VISITED
+        assert move(local, Action.SOUTH)[0] == REWARD_REACHED
 
 
 class TestDecisionMapRaster:
@@ -230,7 +240,7 @@ class TestDecisionMapRaster:
 
     def test_raster_after_north_move(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
-        raster = render_decision_map(apply_move(local, Action.NORTH))
+        raster = render_decision_map(moved(local, Action.NORTH))
         assert raster[55] == 0.0
         assert raster[45] == -0.5
 
@@ -240,7 +250,7 @@ class TestDecisionMapRaster:
         for _ in range(60):
             mask = valid_action_mask(local)
             action = Action(int(rng.choice(np.flatnonzero(mask))))
-            local = apply_move(local, action)
+            local = moved(local, action)
             raster = render_decision_map(local)
             assert set(np.unique(raster)) <= {-1.0, -0.5, 0.0, 0.5, 1.0}
 
@@ -253,17 +263,13 @@ _WALK_STEPS = st.one_of(
 )
 
 
-@given(st.lists(_WALK_STEPS, min_size=1, max_size=40))
-@settings(max_examples=60, deadline=None)
-def test_exactly_one_current_cell_through_any_walk(steps):
-    """Through moves, sensed obstacles and retargets the raster shows the
-    agent exactly once, at ``agent_local``, and the target exactly where
-    ``target_cell`` is a free cell the agent does not stand on."""
+def walk(steps):
+    """Each map along a walk from a fresh map: after every move (a voided
+    one leaves the map as it was), sensed obstacle and retarget."""
     local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
     for step in steps:
         if step in ACTIONS:
-            if classify_action(local, step) != ConstraintClass.HARD:
-                local = apply_move(local, step)
+            local = move(local, step)[1] or local
         elif step == "retarget-here":
             local = retarget(local, local.agent_global)
         elif step[0] == "block":
@@ -273,12 +279,46 @@ def test_exactly_one_current_cell_through_any_walk(steps):
                 local = retarget(local, GridCoord(step[1], step[2]))
             except BoxedInError:
                 pass
+        yield local
+
+
+@given(st.lists(_WALK_STEPS, min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_exactly_one_current_cell_through_any_walk(steps):
+    """Through moves, sensed obstacles and retargets the raster shows the
+    agent exactly once, at ``agent_local``, and the target exactly where
+    ``target_cell`` is a free cell the agent does not stand on."""
+    for local in walk(steps):
         raster = render_decision_map(local).reshape(LOCAL_SIZE, LOCAL_SIZE)
         assert [tuple(c) for c in np.argwhere(raster == -0.5)] == [local.agent_local]
         target_drawn = (local.target_cell != local.agent_local
                         and local.cells[local.target_cell] == CellState.FREE)
         expected = [local.target_cell] if target_drawn else []
         assert [tuple(c) for c in np.argwhere(raster == 0.5)] == expected
+
+
+@given(st.lists(_WALK_STEPS, min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_a_move_is_void_exactly_when_invalid_through_any_walk(steps):
+    """Along any walk, ``move`` voids exactly the actions the valid-action
+    mask rules out, and a move changes only the cell the agent left, which
+    becomes visited, and the agent's position."""
+    for local in walk(steps):
+        mask = valid_action_mask(local)
+        for action in ACTIONS:
+            after = move(local, action)[1]
+            assert (after is None) == (not mask[action])
+            if after is None:
+                continue
+            dr, dc = ACTION_DELTAS[action]
+            here = local.agent_local
+            assert after.agent_local == (here.row + dr, here.col + dc)
+            assert after.cells[here] == CellState.VISITED
+            changed = np.asarray(after.cells) != np.asarray(local.cells)
+            changed[here] = False
+            assert not changed.any()
+            assert (after.origin_global, after.target_cell, after.world_shape) == (
+                local.origin_global, local.target_cell, local.world_shape)
 
 
 @given(st.lists(st.tuples(st.integers(45, 56), st.integers(45, 56)), max_size=15),
@@ -292,8 +332,7 @@ def test_blocked_is_absorbing(blocked_cells, actions):
         tuple(c) for c in np.argwhere(np.asarray(local.cells) == CellState.BLOCKED)
     }
     for action in actions:
-        if classify_action(local, action) != ConstraintClass.HARD:
-            local = apply_move(local, action)
+        local = move(local, action)[1] or local
         local = retarget(local, GridCoord(50, 200))
     blocked_after = {
         tuple(c) for c in np.argwhere(np.asarray(local.cells) == CellState.BLOCKED)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gridnav.agent import phases, replay
+from gridnav import mapping
+from gridnav.agent import phases, policy, replay
 from gridnav.agent import (
     Agent,
     AgentConfig,
@@ -382,3 +383,25 @@ class TestStateRecord:
         observed = {id(s) for t in items for s in (t.state, t.next)}
         # an episode spawned on its target takes no step, so pushes nothing
         assert calls[0] == len(observed) + sum(log.steps == 0 for log in logs)
+
+    def test_a_corrected_step_reads_its_states_valid_mask(self, phase_arch, small_world,
+                                                          monkeypatch):
+        masks, observations = [0], [0]
+
+        def counting(local):
+            masks[0] += 1
+            return mapping.valid_action_mask(local)
+
+        # every module that may bind the mask, whether or not it does
+        for module in (replay, policy):
+            monkeypatch.setattr(module, "valid_action_mask", counting, raising=False)
+        observe = replay.State.observe.__func__
+
+        def counted_observe(cls, local, frame):
+            observations[0] += 1
+            return observe(cls, local, frame)
+
+        monkeypatch.setattr(replay.State, "observe", classmethod(counted_observe))
+        report, _ = fly(phase_arch, small_world, seed=1)
+        assert report.corrections > 0
+        assert masks[0] == observations[0]

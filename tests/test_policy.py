@@ -93,7 +93,7 @@ def brute_force_correction(local, predicted):
 class TestCorrectAction:
     def test_valid_prediction_passes_through(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 90), WORLD)
-        action, decision = correct_action(local, Action.NORTH)
+        action, decision = correct_action(local, Action.NORTH, valid_action_mask(local))
         assert action == Action.NORTH
         assert decision == PolicyDecision.PREDICTED
 
@@ -102,7 +102,7 @@ class TestCorrectAction:
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 90), WORLD)
         assert local.target_cell == GridCoord(5, 9)
         local = mark_blocked(local, [GridCoord(50, 51), GridCoord(51, 50)])
-        action, decision = correct_action(local, Action.EAST)
+        action, decision = correct_action(local, Action.EAST, valid_action_mask(local))
         assert decision == PolicyDecision.CORRECTED
         assert action == Action.NORTH  # d((4,5),(5,9)) ~ 4.12 < d((5,4),(5,9)) = 5
 
@@ -112,7 +112,7 @@ class TestCorrectAction:
                       GridCoord(50, 49)]
         local = mark_blocked(local, neighbours)
         with pytest.raises(BoxedInError):
-            correct_action(local, Action.NORTH)
+            correct_action(local, Action.NORTH, valid_action_mask(local))
 
     def test_matches_exhaustive_oracle_on_random_instances(self):
         rng = np.random.default_rng(7)
@@ -127,8 +127,9 @@ class TestCorrectAction:
             ]
             local = mark_blocked(local, blocked)
             predicted = Action(int(rng.integers(0, 4)))
-            if not valid_action_mask(local).any():
+            mask = valid_action_mask(local)
+            if not mask.any():
                 continue
-            assert correct_action(local, predicted) == brute_force_correction(
+            assert correct_action(local, predicted, mask) == brute_force_correction(
                 local, predicted
             )
