@@ -24,7 +24,7 @@ mutate their inputs, so maps can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -74,12 +74,6 @@ ACTION_DELTAS: dict[Action, tuple[int, int]] = {
 }
 
 ACTIONS = (Action.NORTH, Action.SOUTH, Action.EAST, Action.WEST)
-
-
-class ConstraintClass(Enum):
-    HARD = "hard"
-    SOFT = "soft"
-    NONE = "none"
 
 
 #: Decision-map raster coding, indexed by :class:`CellState` (free 1.0,
@@ -201,26 +195,17 @@ def select_target_cell(local: LocalMap, goal_global: GridCoord) -> GridCoord:
     return BOUNDARY_RING[best]
 
 
-def classify_action(local: LocalMap, action: Action) -> ConstraintClass:
-    """Constraint level of a move: hard moves are voided, soft ones penalised."""
+def _destination(local: LocalMap, action: Action) -> tuple[GridCoord, bool]:
+    """The local cell ``action`` drives at, and whether the move is
+    hard-constrained: off the window or into a blocked cell."""
     dr, dc = ACTION_DELTAS[action]
     dest = GridCoord(local.agent_local.row + dr, local.agent_local.col + dc)
-    if not in_local_bounds(dest):
-        return ConstraintClass.HARD
-    state = CellState(local.cells[dest])
-    if state == CellState.BLOCKED:
-        return ConstraintClass.HARD
-    if state == CellState.VISITED:
-        return ConstraintClass.SOFT
-    return ConstraintClass.NONE
+    return dest, not in_local_bounds(dest) or local.cells[dest] == CellState.BLOCKED
 
 
 def valid_action_mask(local: LocalMap) -> np.ndarray:
-    """Boolean mask over (N, S, E, W): destinations in free or visited cells."""
-    return np.array(
-        [classify_action(local, a) != ConstraintClass.HARD for a in ACTIONS],
-        dtype=bool,
-    )
+    """Boolean mask over (N, S, E, W): the moves that are not hard-constrained."""
+    return np.array([not _destination(local, a)[1] for a in ACTIONS], dtype=bool)
 
 
 def move(local: LocalMap, action: Action) -> tuple[float, LocalMap | None]:
@@ -236,20 +221,16 @@ def move(local: LocalMap, action: Action) -> tuple[float, LocalMap | None]:
     into a blocked cell), which voids it in place; otherwise the agent moves
     and the cell it leaves becomes visited.
     """
-    dr, dc = ACTION_DELTAS[action]
-    dest = GridCoord(local.agent_local.row + dr, local.agent_local.col + dc)
-    if not in_local_bounds(dest):
-        return REWARD_INVALID, None
+    dest, hard = _destination(local, action)
     row, col = local_to_global(local, dest)
     height, width = local.world_shape
-    state = local.cells[dest]
     if dest == local.target_cell:
         r = REWARD_REACHED
-    elif 0 <= row < height and 0 <= col < width:
-        r = _CELL_REWARDS[state]
+    elif in_local_bounds(dest) and 0 <= row < height and 0 <= col < width:
+        r = _CELL_REWARDS[local.cells[dest]]
     else:
         r = REWARD_INVALID
-    if state == CellState.BLOCKED:
+    if hard:
         return r, None
     cells = local.cells.copy()
     cells[local.agent_local] = CellState.VISITED

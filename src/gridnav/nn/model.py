@@ -10,8 +10,13 @@ backward serve both variants, over B traces of T steps (T = 1 for the
 feedforward net): trunk and map branch map each step on its own, and only
 the recurrent variant's head differs, an equally wide LSTM run along T.
 
-The trunk runs a batch in ``_CHUNK``-row chunks, side by side on the
-worker threads of :mod:`pool`, each at one BLAS thread.  Swept end to end
+The trunk runs its conv stack once per distinct frame of a pass (a
+training batch repeats the frames of steps voided in place: about 13
+distinct of 32 on the README task) and gathers the stages' outputs back to
+the positions; ``dense1``, dropout and ``dense2`` run per position, so the
+backward and every byte are as if no frame were shared.  Both stages run
+in chunks of at most ``_CHUNK`` rows, side by side on the worker threads
+of :mod:`pool`, each at one BLAS thread.  Swept end to end
 on two cores, chunks of 2 rows cost about 60 ms more per update than 4;
 8 rows saved at most 5% per update but kept 15-18 MB more resident, since
 each worker holds on to its chunk's transient buffers; 16 rows was slower
@@ -162,25 +167,37 @@ def _dense_rows(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarr
     return z[: len(x)]
 
 
-def _trunk_forward(net: QNetwork, frames: np.ndarray, drop_mask: np.ndarray | None,
-                   want_cache: bool):
-    """Image trunk for one chunk.  ``frames`` is (B, H, W)."""
+def _conv_forward(net: QNetwork, frames: np.ndarray, want_cache: bool):
+    """Conv+ReLU+pool stages of one chunk of frames (B, H, W): each stage's
+    pooled output and pool indices, or only the last stage's without
+    ``want_cache``."""
     p = net.params
     act = frames[..., None]
     stages = []
     for n in range(1, len(net.arch.conv_channels) + 1):
         conv, _ = layers.conv2d_forward(act, p[f"conv{n}_k"], p[f"conv{n}_b"])
-        pooled, pool_cache = layers.maxpool2_forward(np.maximum(conv, 0, out=conv))  # ReLU
+        act, (_, idx) = layers.maxpool2_forward(np.maximum(conv, 0, out=conv))  # ReLU
         del conv
-        if want_cache:
-            stages.append((act, pool_cache))
-        act = pooled
-    flat = act.reshape(act.shape[0], -1)
+        stages.append((act, idx))
+    return stages if want_cache else stages[-1:]
+
+
+def _dense_forward(net: QNetwork, frames: np.ndarray, stages, drop_mask: np.ndarray | None,
+                   want_cache: bool):
+    """``dense1``, dropout and ``dense2`` for one chunk of positions, whose
+    frames (B, H, W) and :func:`_conv_forward` stages are given."""
+    p = net.params
+    flat = stages[-1][0].reshape(len(frames), -1)
     a1, md1 = layers.relu_forward(_dense_rows(flat, p["dense1_w"], p["dense1_b"]))
     a1d = a1 * drop_mask if drop_mask is not None else a1
     img, md2 = layers.relu_forward(_dense_rows(a1d, p["dense2_w"], p["dense2_b"]))
-    cache = (stages, flat, md1, drop_mask, a1d, md2) if want_cache else None
-    return img, cache
+    if not want_cache:
+        return img, None
+    # each stage's input, and the shape of the conv output its pool read
+    inputs = [frames[..., None]] + [pooled for pooled, _ in stages[:-1]]
+    conv_caches = [(x, ((*x.shape[:-1], idx.shape[-1]), idx))
+                   for x, (_, idx) in zip(inputs, stages)]
+    return img, (conv_caches, flat, md1, drop_mask, a1d, md2)
 
 
 def _trunk_backward(net: QNetwork, dimg: np.ndarray, cache) -> list[tuple[str, np.ndarray]]:
@@ -211,27 +228,64 @@ def _trunk_backward(net: QNetwork, dimg: np.ndarray, cache) -> list[tuple[str, n
 
 def _trunk(net: QNetwork, frames: np.ndarray, drop_mask: np.ndarray | None,
            want_cache: bool):
-    """Image trunk over ``_CHUNK``-row chunks: (B, image_features) and the
-    per-chunk caches.
+    """Image trunk: (B, image_features) and the caches of its ``_CHUNK``-row
+    position chunks.
+
+    The conv stages run once per distinct frame (equal bytes), in
+    :func:`_balanced` chunks, and each stage's pooled output and pool
+    indices are gathered back to the positions.  ``dense1``, dropout and
+    ``dense2`` then run per ``_CHUNK`` positions from the front, the chunks
+    :func:`_features_backward` sums its gradients over.  A conv row never
+    depends on its chunk, nor a dense row on its pass, so every byte is
+    what running each position alone would give.
 
     A pass that a backward follows computes every chunk at one BLAS thread,
-    so training rounds the same way on every machine.  A pass of more than
+    so training rounds the same way on every machine.  A stage of more than
     one chunk of production-sized frames runs its chunks on the pool, also
     at one BLAS thread each.  The rest (action selection, a one-frame miss)
     run inline with the process's BLAS threads."""
-    starts = range(0, frames.shape[0], _CHUNK)
+    index: dict[bytes, int] = {}
+    inverse = np.array([index.setdefault(f.tobytes(), len(index)) for f in frames])
+    distinct = frames[np.unique(inverse, return_index=True)[1]]
+    chunks = _map(net, lambda rows: _conv_forward(net, distinct[rows], want_cache),
+                  _balanced(len(distinct)), want_cache)
+    stages = [tuple(np.concatenate(parts) for parts in zip(*stage)) for stage in zip(*chunks)]
+    del chunks
 
-    def chunk(s: int):
+    def dense(s: int):
+        rows = inverse[s : s + _CHUNK]
         chunk_drop = drop_mask[s : s + _CHUNK] if drop_mask is not None else None
-        return _trunk_forward(net, frames[s : s + _CHUNK], chunk_drop, want_cache)
+        return _dense_forward(net, frames[s : s + _CHUNK],
+                              [(pooled[rows], idx[rows]) for pooled, idx in stages],
+                              chunk_drop, want_cache)
 
-    on_pool = _on_pool(net, len(starts))
+    results = _map(net, dense, range(0, len(frames), _CHUNK), want_cache)
+    return np.concatenate([img for img, _ in results], axis=0), [c for _, c in results]
+
+
+def _balanced(rows: int) -> list[slice]:
+    """``rows`` rows as the fewest chunks of at most ``_CHUNK`` rows, near
+    equal and larger first, and, past one chunk, as many as the pool's
+    workers divide: on two workers 13 rows run as 4, 3, 3, 3 and 5 as 3, 2.
+    Up to ``_CHUNK`` rows stay one chunk: split on two cores, 2-4 frames
+    took 20-30% longer than one chunk at the process's BLAS threads."""
+    count = -(-rows // _CHUNK)
+    if count > 1:
+        workers = pool.workers()
+        count = min(rows, -(-count // workers) * workers)
+    size, extra = divmod(rows, count)
+    starts = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:])]
+
+
+def _map(net: QNetwork, fn, chunks, want_cache: bool) -> list:
+    """``fn`` over a stage's ``chunks``: on the pool when :func:`_on_pool`
+    says so, at one BLAS thread there and whenever a backward follows."""
+    on_pool = _on_pool(net, len(chunks))
     if on_pool or want_cache:
         with pool.one_blas_thread():
-            results = list(pool.map_chunks(chunk, starts, on_pool))
-    else:
-        results = [chunk(s) for s in starts]
-    return np.concatenate([img for img, _ in results], axis=0), [c for _, c in results]
+            return list(pool.map_chunks(fn, chunks, on_pool))
+    return [fn(c) for c in chunks]
 
 
 def _on_pool(net: QNetwork, chunks: int) -> bool:

@@ -53,6 +53,11 @@ def _executor() -> ThreadPoolExecutor | None:
     return ThreadPoolExecutor(workers, thread_name_prefix="gridnav-trunk") if workers > 1 else None
 
 
+def workers() -> int:
+    """How many chunks the pool runs side by side: 1 without a pool."""
+    return len(os.sched_getaffinity(0)) if _executor() is not None else 1
+
+
 @contextmanager
 def one_blas_thread():
     """Hold OpenBLAS at one thread, restoring the previous count afterwards."""

@@ -38,9 +38,7 @@ from gridnav.mapping import (
     BOUNDARY_RING,
     BoxedInError,
     CellState,
-    ConstraintClass,
     GridCoord,
-    classify_action,
     global_to_local,
     in_local_bounds,
     local_to_global,
@@ -289,12 +287,12 @@ def test_criterion_6_correction_policy_oracle():
         got_action, got_label = correct_action(local, predicted, mask)
 
         # oracle: exhaustive argmin over the valid actions
-        if classify_action(local, predicted) != ConstraintClass.HARD:
+        if mask[predicted]:
             expected = (predicted, PolicyDecision.PREDICTED)
         else:
             best, best_d = None, None
             for action in ACTIONS:
-                if classify_action(local, action) == ConstraintClass.HARD:
+                if not mask[action]:
                     continue
                 dr, dc = ACTION_DELTAS[action]
                 d = math.hypot(local.agent_local.row + dr - local.target_cell.row,
@@ -363,7 +361,7 @@ def replay_route_and_verify(report, world, start, goal):
     for here, there in zip(report.route, report.route[1:]):
         delta = (there.row - here.row, there.col - here.col)
         action = next(a for a in ACTIONS if ACTION_DELTAS[a] == delta)
-        assert classify_action(local, action) != ConstraintClass.HARD, (
+        assert move(local, action)[1] is not None, (
             f"move {here} -> {there} entered a hard-constrained cell"
         )
         dest_local = global_to_local(local, there)

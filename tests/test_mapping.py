@@ -12,7 +12,6 @@ from gridnav.mapping import (
     Action,
     BoxedInError,
     CellState,
-    ConstraintClass,
     GridCoord,
     LOCAL_SIZE,
     REWARD_BLOCKED,
@@ -20,7 +19,6 @@ from gridnav.mapping import (
     REWARD_REACHED,
     REWARD_VALID,
     REWARD_VISITED,
-    classify_action,
     global_to_local,
     in_local_bounds,
     local_to_global,
@@ -122,26 +120,32 @@ class TestSelectTarget:
         assert local.target_cell == brute_force_target(local, GridCoord(50, 200))
 
 
-class TestClassifyAndMove:
+class TestMoveConstraints:
     def test_blocked_destination_is_hard(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
         local = mark_blocked(local, [GridCoord(50, 51)])
-        assert classify_action(local, Action.EAST) == ConstraintClass.HARD
+        assert move(local, Action.EAST)[1] is None
+        assert not valid_action_mask(local)[Action.EAST]
 
     def test_visited_destination_is_soft(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
         local = moved(local, Action.WEST, Action.EAST)
-        assert classify_action(local, Action.WEST) == ConstraintClass.SOFT
+        reward, after = move(local, Action.WEST)
+        assert after is not None and reward == REWARD_VISITED
+        assert valid_action_mask(local)[Action.WEST]
 
     def test_free_destination_is_unconstrained(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
-        assert classify_action(local, Action.NORTH) == ConstraintClass.NONE
+        reward, after = move(local, Action.NORTH)
+        assert after is not None and reward == REWARD_VALID
+        assert valid_action_mask(local)[Action.NORTH]
 
     def test_window_edge_is_hard(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)
         local = moved(local, *[Action.NORTH] * 5)
         assert local.agent_local.row == 0
-        assert classify_action(local, Action.NORTH) == ConstraintClass.HARD
+        assert move(local, Action.NORTH)[1] is None
+        assert not valid_action_mask(local)[Action.NORTH]
 
     def test_move_updates_both_cells(self):
         local = spawn_local_map(GridCoord(50, 50), GridCoord(50, 200), WORLD)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import finite_difference, relative_error
 from gridnav import nn
-from gridnav.nn import optim, pool
+from gridnav.nn import layers, model, optim, pool
 from gridnav.nn.model import _CHUNK, _POOL_MIN_FRAME
 
 
@@ -201,6 +201,105 @@ class TestPooledTrunk:
                 numeric = finite_difference(loss, net.params, key, int(index))
                 analytic = float(grads[key].reshape(-1)[index])
                 assert relative_error(analytic, numeric) < 1e-4, f"{key}[{index}]"
+
+
+def per_position_trunk(net, frames, drop_mask, want_cache):
+    """The trunk with no frame shared: every position's conv stack runs in
+    its ``_CHUNK``-row chunk from the front, one chunk at a time at one BLAS
+    thread, with the caches :func:`nn.backward` reads."""
+    p = net.params
+    imgs, caches = [], []
+    with pool.one_blas_thread():
+        for s in range(0, len(frames), _CHUNK):
+            act = frames[s : s + _CHUNK][..., None]
+            stages = []
+            for n in range(1, len(net.arch.conv_channels) + 1):
+                conv, _ = layers.conv2d_forward(act, p[f"conv{n}_k"], p[f"conv{n}_b"])
+                pooled, pool_cache = layers.maxpool2_forward(np.maximum(conv, 0))
+                stages.append((act, pool_cache))
+                act = pooled
+            flat = act.reshape(len(act), -1)
+            drop = drop_mask[s : s + _CHUNK] if drop_mask is not None else None
+            a1, md1 = layers.relu_forward(model._dense_rows(flat, p["dense1_w"], p["dense1_b"]))
+            a1d = a1 * drop if drop is not None else a1
+            img, md2 = layers.relu_forward(model._dense_rows(a1d, p["dense2_w"], p["dense2_b"]))
+            imgs.append(img)
+            caches.append((stages, flat, md1, drop, a1d, md2) if want_cache else None)
+    return np.concatenate(imgs), caches
+
+
+class TestDistinctFrames:
+    """The conv stack runs once per distinct frame and its outputs are
+    gathered back to the positions, which changes no byte of the Q-values
+    or of any gradient."""
+
+    #: which of a few frames each of 9 positions shows: 2*_CHUNK + 1 rows,
+    #: so the position chunks end in a one-row chunk
+    LAYOUTS = {
+        "identical": [0] * 9,
+        "distinct": list(range(9)),
+        "repeats": [0, 1, 0, 2, 2, 2, 3, 1, 0],
+        "repeats_moved": [2, 0, 1, 3, 0, 2, 0, 1, 2],  # the same multiset
+    }
+
+    @staticmethod
+    def q_and_grads(net, frames, rasters, dropout_seed):
+        q, cache = nn.forward_cached(net, frames, rasters, dropout_seed=dropout_seed)
+        grads = nn.backward(net, cache, np.cos(q))
+        return q.tobytes(), {k: v.tobytes() for k, v in grads.items()}
+
+    def assert_matches_per_position(self, monkeypatch, net, frames, rasters):
+        for dropout_seed in (None, 6):
+            got = self.q_and_grads(net, frames, rasters, dropout_seed)
+            with monkeypatch.context() as patched:
+                patched.setattr(model, "_trunk", per_position_trunk)
+                want = self.q_and_grads(net, frames, rasters, dropout_seed)
+            assert got[0] == want[0]
+            assert [k for k in want[1] if got[1][k] != want[1][k]] == []
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_matches_the_per_position_trunk(self, monkeypatch, layout):
+        arch = nn.ArchitectureSpec()
+        net = nn.init_network(arch, seed=8)
+        frames, rasters = rand_inputs(arch, 9, seed=8, dtype=np.float32)
+        frames = frames[self.LAYOUTS[layout]]
+        self.assert_matches_per_position(monkeypatch, net, frames, rasters)
+
+    def test_a_recurrent_batch_matches_the_per_position_trunk(self, monkeypatch):
+        arch = nn.ArchitectureSpec(recurrent=True)
+        net = nn.init_network(arch, seed=9)
+        frames, rasters = rand_inputs(arch, 12, seed=9, dtype=np.float32)
+        # three traces of four steps: repeats within a trace and across traces
+        frames = frames[[0, 0, 1, 1, 2, 3, 3, 3, 0, 4, 4, 1], 0].reshape(3, 4, *frames.shape[-2:])
+        self.assert_matches_per_position(monkeypatch, net, frames, rasters.reshape(3, 4, -1))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_the_conv_stack_runs_once_per_distinct_frame(self, monkeypatch, tiny_arch, layout):
+        net = nn.init_network(tiny_arch, seed=1)
+        frames, rasters = rand_inputs(tiny_arch, 9, seed=1, dtype=np.float32)
+        frames = frames[self.LAYOUTS[layout]]
+        rows = []
+        conv2d_forward = layers.conv2d_forward
+
+        def counted(x, kernel, bias):
+            rows.append(len(x))
+            return conv2d_forward(x, kernel, bias)
+
+        monkeypatch.setattr(layers, "conv2d_forward", counted)
+        nn.forward_cached(net, frames, rasters, dropout_seed=2)
+        stages = len(tiny_arch.conv_channels)
+        assert sum(rows) == stages * len(set(self.LAYOUTS[layout]))
+
+    @pytest.mark.parametrize("rows, workers, sizes", [
+        (13, 2, [4, 3, 3, 3]), (5, 2, [3, 2]), (1, 2, [1]), (3, 2, [3]), (4, 2, [4]),
+        (32, 2, [4] * 8), (33, 2, [4, 4, 4] + [3] * 7), (13, 1, [4, 3, 3, 3]), (4, 1, [4]),
+    ])
+    def test_conv_chunks_are_balanced(self, monkeypatch, rows, workers, sizes):
+        monkeypatch.setattr(pool, "workers", lambda: workers)
+        chunks = model._balanced(rows)
+        assert [c.stop - c.start for c in chunks] == sizes
+        assert chunks[0].start == 0 and chunks[-1].stop == rows
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
 
 
 class TestRecurrent:

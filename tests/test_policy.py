@@ -7,9 +7,7 @@ from gridnav.mapping import (
     ACTION_DELTAS,
     Action,
     BoxedInError,
-    ConstraintClass,
     GridCoord,
-    classify_action,
     local_to_global,
     mark_blocked,
     spawn_local_map,
@@ -73,12 +71,13 @@ class TestEpsilonGreedy:
 
 def brute_force_correction(local, predicted):
     """Oracle: exhaustive scan over valid actions for the target-nearest one."""
-    if classify_action(local, predicted) != ConstraintClass.HARD:
+    valid = valid_action_mask(local)
+    if valid[predicted]:
         return predicted, PolicyDecision.PREDICTED
     best = None
     best_d = None
     for action in ACTIONS:
-        if classify_action(local, action) == ConstraintClass.HARD:
+        if not valid[action]:
             continue
         dr, dc = ACTION_DELTAS[action]
         dest = (local.agent_local.row + dr, local.agent_local.col + dc)
