@@ -200,7 +200,7 @@ def _destination(local: LocalMap, action: Action) -> tuple[GridCoord, bool]:
     hard-constrained: off the window or into a blocked cell."""
     dr, dc = ACTION_DELTAS[action]
     dest = GridCoord(local.agent_local.row + dr, local.agent_local.col + dc)
-    return dest, not in_local_bounds(dest) or local.cells[dest] == CellState.BLOCKED
+    return dest, not in_local_bounds(dest) or local.cells.item(dest) == CellState.BLOCKED
 
 
 def valid_action_mask(local: LocalMap) -> np.ndarray:

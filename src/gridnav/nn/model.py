@@ -249,6 +249,7 @@ def _trunk(net: QNetwork, frames: np.ndarray, drop_mask: np.ndarray | None,
     distinct = frames[np.unique(inverse, return_index=True)[1]]
     chunks = _map(net, lambda rows: _conv_forward(net, distinct[rows], want_cache),
                   _balanced(len(distinct)), want_cache)
+    # each stage's pooled output and pool indices, one row per distinct frame
     stages = [tuple(np.concatenate(parts) for parts in zip(*stage)) for stage in zip(*chunks)]
     del chunks
 
