@@ -16,11 +16,11 @@ distinct of 32 on the README task) and gathers the stages' outputs back to
 the positions; ``dense1``, dropout and ``dense2`` run per position, so the
 backward and every byte are as if no frame were shared.  Both stages run
 in chunks of at most ``_CHUNK`` rows, side by side on the worker threads
-of :mod:`pool`, each at one BLAS thread.  Swept end to end
-on two cores, chunks of 2 rows cost about 60 ms more per update than 4;
-8 rows saved at most 5% per update but kept 15-18 MB more resident, since
-each worker holds on to its chunk's transient buffers; 16 rows was slower
-than 4 and kept about 60 MB more.
+of :mod:`pool`, each at one BLAS thread.  Swept end to end on two cores,
+chunks of 2 rows cost about 60 ms more per update than 4; 8 rows saved at
+most 5% per update but kept 15-18 MB more resident, since each worker
+holds on to its chunk's transient buffers; 16 rows was slower than 4 and
+kept about 60 MB more.
 """
 
 from __future__ import annotations
