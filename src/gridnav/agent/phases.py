@@ -183,7 +183,7 @@ def _sensed_local_map(local: LocalMap, world: World, goal: GridCoord
     """Mark freshly sensed obstacles and re-aim the target if it got buried."""
     sensed = sense_obstacles(world, local.agent_global)
     local = mark_blocked(local, sensed)
-    if local.cells[local.target_cell] == CellState.BLOCKED:
+    if local.cells.item(local.target_cell) == CellState.BLOCKED:
         local = retarget(local, goal)
     return local, sensed
 
@@ -347,7 +347,7 @@ def run_exploitation_phase(
     # decision 1 sees the world one step (one second) after the spawn, like
     # every later decision sees it one step after the previous one; a static
     # world steps to itself
-    world = step_dynamics(world, 1.0)
+    world = step_dynamics(world)
     state = State.observe(local, observe(world, env.start, Action.NORTH, 1))
     route = [env.start]
     counts = {PolicyDecision.PREDICTED: 0, PolicyDecision.CORRECTED: 0, PolicyDecision.RANDOM: 0}
@@ -357,7 +357,7 @@ def run_exploitation_phase(
     while steps < config.mission_step_budget and state.agent != env.goal:
         steps += 1
         # the next frame shows the world the next decision is made in
-        next_world = step_dynamics(world, 1.0)
+        next_world = step_dynamics(world)
         step = _transition(agent, state, world, env.goal, config.epsilon_test,
                            correct=True, episode_id=episode_id, rng=rng,
                            render=partial(observe, next_world, step=steps + 1))

@@ -235,9 +235,8 @@ def _parse_mission_list(config: RunConfig) -> list[MissionSpec]:
     weather = config.weather_condition()
     entries = [m for m in config.missions.split(";") if m.strip()] if config.missions else []
     if not entries and config.start_row is not None and config.goal_row is not None:
-        entries = [
-            f"{config.start_row},{config.start_col}:{config.goal_row},{config.goal_col}"
-        ]
+        start, goal = _default_endpoints(config)
+        entries = [f"{start.row},{start.col}:{goal.row},{goal.col}"]
     for i, entry in enumerate(entries):
         try:
             start_s, goal_s = entry.split(":")

@@ -181,7 +181,7 @@ def select_target_cell(local: LocalMap, goal_global: GridCoord) -> GridCoord:
     the agent can never enter would deadlock the mission.
     """
     goal_local = global_to_local(local, goal_global)
-    if in_local_bounds(goal_local) and local.cells[goal_local] != CellState.BLOCKED:
+    if in_local_bounds(goal_local) and local.cells.item(goal_local) != CellState.BLOCKED:
         return goal_local
 
     ring_rows_g = _RING_ROWS + local.origin_global.row
@@ -227,7 +227,7 @@ def move(local: LocalMap, action: Action) -> tuple[float, LocalMap | None]:
     if dest == local.target_cell:
         r = REWARD_REACHED
     elif in_local_bounds(dest) and 0 <= row < height and 0 <= col < width:
-        r = _CELL_REWARDS[local.cells[dest]]
+        r = _CELL_REWARDS[local.cells.item(dest)]
     else:
         r = REWARD_INVALID
     if hard:
@@ -263,7 +263,7 @@ def render_decision_map(local: LocalMap) -> np.ndarray:
     The agent is drawn last, so it shows even when it stands on the target.
     """
     raster = _RASTER_CODES[local.cells]
-    if local.cells[local.target_cell] == CellState.FREE:
+    if local.cells.item(local.target_cell) == CellState.FREE:
         raster[local.target_cell] = 0.5
     raster[local.agent_local] = -0.5
     return raster.reshape(-1)

@@ -44,26 +44,29 @@ def save_checkpoint(path, net: QNetwork, adam: AdamState | None = None,
 
 def load_checkpoint(path):
     """Returns (net, adam_state_or_None, extra_metadata).  Raises ValueError
-    when the parameters are not the ones the recorded architecture builds."""
+    when the parameters are not the ones the recorded architecture builds,
+    or when a parameter or Adam moment holds a value that is not finite."""
     with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta["format_version"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
-        arch = ArchitectureSpec.from_dict(meta["arch"])
-        params = {
-            k.split("/", 1)[1]: data[k] for k in data.files if k.startswith("param/")
-        }
-        check_params(arch, params)
-        net = QNetwork(arch=arch, params=params)
-        adam = None
-        if "adam" in meta:
-            recorded = {k: meta["adam"][k] for k in _ADAM_CONSTANTS}
-            if recorded != _ADAM_CONSTANTS:
-                raise ValueError(f"Adam constants {recorded} are not {_ADAM_CONSTANTS}")
-            adam = AdamState(
-                learning_rate=float(meta["adam"]["learning_rate"]),
-                step=int(meta["adam"]["step"]),
-                m={k.split("/", 1)[1]: data[k] for k in data.files if k.startswith("adam_m/")},
-                v={k.split("/", 1)[1]: data[k] for k in data.files if k.startswith("adam_v/")},
-            )
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
+    if meta["format_version"] != FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
+    for key, value in arrays.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{key!r} holds a value that is not finite")
+
+    def group(prefix: str) -> dict[str, np.ndarray]:
+        return {k.split("/", 1)[1]: v for k, v in arrays.items() if k.startswith(prefix)}
+
+    arch = ArchitectureSpec.from_dict(meta["arch"])
+    params = group("param/")
+    check_params(arch, params)
+    net = QNetwork(arch=arch, params=params)
+    adam = None
+    if "adam" in meta:
+        recorded = {k: meta["adam"][k] for k in _ADAM_CONSTANTS}
+        if recorded != _ADAM_CONSTANTS:
+            raise ValueError(f"Adam constants {recorded} are not {_ADAM_CONSTANTS}")
+        adam = AdamState(learning_rate=float(meta["adam"]["learning_rate"]),
+                         step=int(meta["adam"]["step"]), m=group("adam_m/"), v=group("adam_v/"))
     return net, adam, meta.get("extra", {})

@@ -12,15 +12,15 @@ the recurrent variant's head differs, an equally wide LSTM run along T.
 
 The trunk runs its conv stack once per distinct frame of a pass (a
 training batch repeats the frames of steps voided in place: about 13
-distinct of 32 on the README task) and gathers the stages' outputs back to
-the positions; ``dense1``, dropout and ``dense2`` run per position, so the
-backward and every byte are as if no frame were shared.  Both stages run
-in chunks of at most ``_CHUNK`` rows, side by side on the worker threads
-of :mod:`pool`, each at one BLAS thread.  Swept end to end on two cores,
-chunks of 2 rows cost about 60 ms more per update than 4; 8 rows saved at
-most 5% per update but kept 15-18 MB more resident, since each worker
-holds on to its chunk's transient buffers; 16 rows was slower than 4 and
-kept about 60 MB more.
+distinct of 32 on the README task) and keeps one record of it from forward
+to backward; ``dense1``, dropout and ``dense2`` run per position, so every
+byte is as if no frame were shared.  Every stage runs through one chunk
+runner, in chunks of at most ``_CHUNK`` rows side by side on the worker
+threads of :mod:`pool`, each at one BLAS thread.  Swept end to end on two
+cores, chunks of 2 rows cost about 60 ms more per update than 4; 8 rows
+saved at most 5% per update but kept 15-18 MB more resident, since each
+worker holds on to its chunk's transient buffers; 16 rows was slower than
+4 and kept about 60 MB more.
 """
 
 from __future__ import annotations
@@ -182,28 +182,25 @@ def _conv_forward(net: QNetwork, frames: np.ndarray, want_cache: bool):
     return stages if want_cache else stages[-1:]
 
 
-def _dense_forward(net: QNetwork, frames: np.ndarray, stages, drop_mask: np.ndarray | None,
+def _dense_forward(net: QNetwork, flat: np.ndarray, drop_mask: np.ndarray | None,
                    want_cache: bool):
     """``dense1``, dropout and ``dense2`` for one chunk of positions, whose
-    frames (B, H, W) and :func:`_conv_forward` stages are given."""
+    flattened last-stage rows are ``flat``."""
     p = net.params
-    flat = stages[-1][0].reshape(len(frames), -1)
     a1, md1 = layers.relu_forward(_dense_rows(flat, p["dense1_w"], p["dense1_b"]))
     a1d = a1 * drop_mask if drop_mask is not None else a1
     img, md2 = layers.relu_forward(_dense_rows(a1d, p["dense2_w"], p["dense2_b"]))
-    if not want_cache:
-        return img, None
-    # each stage's input, and the shape of the conv output its pool read
-    inputs = [frames[..., None]] + [pooled for pooled, _ in stages[:-1]]
-    conv_caches = [(x, ((*x.shape[:-1], idx.shape[-1]), idx))
-                   for x, (_, idx) in zip(inputs, stages)]
-    return img, (conv_caches, flat, md1, drop_mask, a1d, md2)
+    return img, (flat, md1, drop_mask, a1d, md2) if want_cache else None
 
 
-def _trunk_backward(net: QNetwork, dimg: np.ndarray, cache) -> list[tuple[str, np.ndarray]]:
-    """Trunk gradients of one chunk, as (parameter name, gradient) pairs."""
+def _trunk_backward(net: QNetwork, dimg: np.ndarray, cache, record,
+                    positions: slice) -> list[tuple[str, np.ndarray]]:
+    """Trunk gradients of the chunk of ``positions`` whose dense cache is
+    ``cache``, as (parameter name, gradient) pairs."""
     p = net.params
-    stages, flat, md1, drop_mask, a1d, md2 = cache
+    flat, md1, drop_mask, a1d, md2 = cache
+    distinct, stages, inverse = record
+    rows = inverse[positions]
 
     dz2 = layers.relu_backward(dimg, md2)
     da1d, dw2, db2 = layers.dense_backward(dz2, a1d, p["dense2_w"])
@@ -216,10 +213,14 @@ def _trunk_backward(net: QNetwork, dimg: np.ndarray, cache) -> list[tuple[str, n
     dact = dflat.reshape(dflat.shape[0], size, size, net.arch.conv_channels[-1])
     pooled = flat.reshape(dact.shape)
     for n in range(len(stages), 0, -1):
-        x, pool_cache = stages[n - 1]
+        # the stage's input and pool indices at the chunk's positions; the
+        # same-padded conv output the pool read is as high and wide as x
+        x = stages[n - 2][0][rows] if n > 1 else distinct[rows][..., None]
+        idx = stages[n - 1][1][rows]
         # a pooled window's winner is positive exactly where the ReLU under
         # it passed its gradient, so the ReLU mask is the pooled output's sign
-        dconv = layers.maxpool2_backward(layers.relu_backward(dact, pooled > 0), pool_cache)
+        dconv = layers.maxpool2_backward(layers.relu_backward(dact, pooled > 0),
+                                         ((*x.shape[:-1], idx.shape[-1]), idx))
         dact, dk, db = layers.conv2d_backward(dconv, x, p[f"conv{n}_k"], need_dx=n > 1)
         grads += [(f"conv{n}_k", dk), (f"conv{n}_b", db)]
         pooled = x
@@ -228,16 +229,18 @@ def _trunk_backward(net: QNetwork, dimg: np.ndarray, cache) -> list[tuple[str, n
 
 def _trunk(net: QNetwork, frames: np.ndarray, drop_mask: np.ndarray | None,
            want_cache: bool):
-    """Image trunk: (B, image_features) and the caches of its ``_CHUNK``-row
-    position chunks.
+    """Image trunk: (B, image_features), its record ``(distinct, stages,
+    inverse)`` and the caches of its ``_CHUNK``-row position chunks.
 
     The conv stages run once per distinct frame (equal bytes), in
-    :func:`_balanced` chunks, and each stage's pooled output and pool
-    indices are gathered back to the positions.  ``dense1``, dropout and
-    ``dense2`` then run per ``_CHUNK`` positions from the front, the chunks
-    :func:`_features_backward` sums its gradients over.  A conv row never
-    depends on its chunk, nor a dense row on its pass, so every byte is
-    what running each position alone would give.
+    :func:`_balanced` chunks.  The record holds the distinct frames, each
+    stage's pooled output and pool indices, one row per distinct frame
+    (only the last stage's without ``want_cache``), and the distinct frame
+    at each position.  ``dense1``, dropout and ``dense2`` then run on the
+    positions' flattened rows, per ``_CHUNK`` positions from the front: the
+    chunks :func:`_features_backward` sums its gradients over.  A conv row
+    never depends on its chunk, nor a dense row on its pass, so every byte
+    is what running each position alone would give.
 
     A pass that a backward follows computes every chunk at one BLAS thread,
     so training rounds the same way on every machine.  A stage of more than
@@ -249,19 +252,16 @@ def _trunk(net: QNetwork, frames: np.ndarray, drop_mask: np.ndarray | None,
     distinct = frames[np.unique(inverse, return_index=True)[1]]
     chunks = _map(net, lambda rows: _conv_forward(net, distinct[rows], want_cache),
                   _balanced(len(distinct)), want_cache)
-    # each stage's pooled output and pool indices, one row per distinct frame
     stages = [tuple(np.concatenate(parts) for parts in zip(*stage)) for stage in zip(*chunks)]
-    del chunks
+    flat = stages[-1][0].reshape(len(distinct), -1)
 
     def dense(s: int):
-        rows = inverse[s : s + _CHUNK]
         chunk_drop = drop_mask[s : s + _CHUNK] if drop_mask is not None else None
-        return _dense_forward(net, frames[s : s + _CHUNK],
-                              [(pooled[rows], idx[rows]) for pooled, idx in stages],
-                              chunk_drop, want_cache)
+        return _dense_forward(net, flat[inverse[s : s + _CHUNK]], chunk_drop, want_cache)
 
-    results = _map(net, dense, range(0, len(frames), _CHUNK), want_cache)
-    return np.concatenate([img for img, _ in results], axis=0), [c for _, c in results]
+    results = list(_map(net, dense, range(0, len(frames), _CHUNK), want_cache))
+    img = np.concatenate([img for img, _ in results], axis=0)
+    return img, (distinct, stages, inverse), [c for _, c in results]
 
 
 def _balanced(rows: int) -> list[slice]:
@@ -279,29 +279,25 @@ def _balanced(rows: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:])]
 
 
-def _map(net: QNetwork, fn, chunks, want_cache: bool) -> list:
-    """``fn`` over a stage's ``chunks``: on the pool when :func:`_on_pool`
-    says so, at one BLAS thread there and whenever a backward follows."""
-    on_pool = _on_pool(net, len(chunks))
-    if on_pool or want_cache:
-        with pool.one_blas_thread():
-            return list(pool.map_chunks(fn, chunks, on_pool))
-    return [fn(c) for c in chunks]
-
-
-def _on_pool(net: QNetwork, chunks: int) -> bool:
-    """Whether a trunk pass of ``chunks`` chunks goes to the pool.  Chunks of
-    frames under ``_POOL_MIN_FRAME`` pixels a side finish in about the time
-    the workers take to hand the interpreter lock back and forth."""
-    return chunks > 1 and net.arch.frame_size >= _POOL_MIN_FRAME
+def _map(net: QNetwork, fn, chunks, want_cache: bool):
+    """``fn`` over a trunk stage's ``chunks``, yielding results in chunk order
+    as they complete: on the pool past one chunk of frames of at least
+    ``_POOL_MIN_FRAME`` pixels a side (smaller chunks finish in about the
+    time the workers take to hand the interpreter lock back and forth), at
+    one BLAS thread there and whenever a backward follows."""
+    on_pool = len(chunks) > 1 and net.arch.frame_size >= _POOL_MIN_FRAME
+    if not (on_pool or want_cache):
+        yield from map(fn, chunks)
+        return
+    with pool.one_blas_thread():
+        yield from (pool.map_chunks if on_pool else map)(fn, chunks)
 
 
 def image_features(net: QNetwork, frames: np.ndarray) -> np.ndarray:
     """Eval-mode trunk output, (B, image_features).  Each row is a function
     of its frame and the weights alone, whatever else shares the pass."""
     dtype = net.params["head_w"].dtype
-    img, _ = _trunk(net, np.ascontiguousarray(frames, dtype=dtype), None, want_cache=False)
-    return img
+    return _trunk(net, np.ascontiguousarray(frames, dtype=dtype), None, want_cache=False)[0]
 
 
 def _map_branch(net: QNetwork, rasters: np.ndarray):
@@ -314,20 +310,21 @@ def _map_branch(net: QNetwork, rasters: np.ndarray):
 def _features_forward(net: QNetwork, frames: np.ndarray, rasters: np.ndarray,
                       dropout_seed: int | None):
     """Trunk plus map branch: the (N, feature_width) rows the head reads, and
-    the ``(chunk_caches, rasters, zm)`` cache of :func:`_features_backward`.
+    the ``(record, chunk_caches, rasters, zm)`` cache of
+    :func:`_features_backward`.
     ``frames`` and ``rasters`` are flat row batches already in the parameter
     dtype; with a ``dropout_seed`` (train mode) row n takes dropout row n."""
     drop = (_dropout_mask(net.arch, frames.shape[0], dropout_seed, frames.dtype)
             if dropout_seed is not None else None)
-    img, chunk_caches = _trunk(net, frames, drop, want_cache=True)
+    img, record, chunk_caches = _trunk(net, frames, drop, want_cache=True)
     m, zm = _map_branch(net, rasters)
-    return np.concatenate([img, m], axis=1), (chunk_caches, rasters, zm)
+    return np.concatenate([img, m], axis=1), (record, chunk_caches, rasters, zm)
 
 
 def _features_backward(net: QNetwork, cache, dfeats: np.ndarray,
                        grads: dict[str, np.ndarray]) -> None:
     """Accumulate the map-branch and trunk gradients of :func:`_features_forward`."""
-    chunk_caches, rasters, zm = cache
+    record, chunk_caches, rasters, zm = cache
     p = net.params
     nimg = net.arch.image_features
     dimg = dfeats[:, :nimg]
@@ -339,16 +336,15 @@ def _features_backward(net: QNetwork, cache, dfeats: np.ndarray,
     grads["map_b"] += db
 
     def chunk(n: int):
-        return _trunk_backward(net, dimg[n * _CHUNK : n * _CHUNK + _CHUNK], chunk_caches[n])
+        s = slice(n * _CHUNK, n * _CHUNK + _CHUNK)
+        return _trunk_backward(net, dimg[s], chunk_caches[n], record, s)
 
     # fold each chunk in as it completes, in chunk order, so the sums do not
     # depend on which worker ran which chunk
-    with pool.one_blas_thread():
-        chunks = range(len(chunk_caches))
-        for chunk_grads in pool.map_chunks(chunk, chunks, _on_pool(net, len(chunks))):
-            for name, grad in chunk_grads:
-                grads[name] += grad
-            del chunk_grads, grad  # not held while the next chunk is awaited
+    for chunk_grads in _map(net, chunk, range(len(chunk_caches)), want_cache=True):
+        for name, grad in chunk_grads:
+            grads[name] += grad
+        del chunk_grads, grad  # not held while the next chunk is awaited
 
 
 def _time_major(x: np.ndarray) -> np.ndarray:

@@ -74,11 +74,9 @@ def one_blas_thread():
         set_(before)
 
 
-def map_chunks(fn: Callable, items: Sequence, on_pool: bool) -> Iterator:
+def map_chunks(fn: Callable, items: Sequence) -> Iterator:
     """``fn`` over ``items``, results in item order as they complete: on the
-    pool's workers when ``on_pool``, else on the calling thread.  Call it
-    under :func:`one_blas_thread`."""
+    pool's workers, or on the calling thread without a pool.  Call it under
+    :func:`one_blas_thread`."""
     executor = _executor()
-    if executor is None or not on_pool:
-        return map(fn, items)
-    return executor.map(fn, items)
+    return map(fn, items) if executor is None else executor.map(fn, items)

@@ -189,7 +189,6 @@ def generate_world(
     spec: WorldSpec,
     start: GridCoord | None = None,
     goal: GridCoord | None = None,
-    obstacle_radius: float = DEFAULT_OBSTACLE_RADIUS,
 ) -> World:
     """Deterministically generate a world from its spec.
 
@@ -212,7 +211,7 @@ def generate_world(
             attempts_left -= 1
             x = rng.uniform(0.0, spec.width_m)
             y = rng.uniform(0.0, spec.height_m)
-            if not any(_disc_intersects_cell(x, y, obstacle_radius, c) for c in protected):
+            if not any(_disc_intersects_cell(x, y, DEFAULT_OBSTACLE_RADIUS, c) for c in protected):
                 return x, y
         raise GenerationError(f"could not place {count + spec.dynamic_count} obstacles "
                               "and keep start/goal clear")
@@ -229,7 +228,7 @@ def generate_world(
                      speed * math.sin(angle)))
 
     x, y, shade, vx, vy = np.array(rows, dtype=np.float64).reshape(-1, 5).T
-    return World(spec, x, y, np.full(len(rows), obstacle_radius), shade, vx, vy)
+    return World(spec, x, y, np.full(len(rows), DEFAULT_OBSTACLE_RADIUS), shade, vx, vy)
 
 
 def occupied_cells(world: World) -> np.ndarray:
@@ -380,17 +379,16 @@ def apply_weather(frame: np.ndarray, weather: WeatherCondition, rng_seed: int) -
     raise ValueError(f"unhandled weather kind {weather.kind}")
 
 
-def step_dynamics(world: World, dt: float) -> World:
-    """Advance moving obstacles by ``dt`` seconds, reflecting off the borders."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+def step_dynamics(world: World) -> World:
+    """Advance moving obstacles by one second (one decision), reflecting off
+    the borders."""
     if not world.has_dynamics:
         return world
     width = float(world.spec.width_m)
     height = float(world.spec.height_m)
     m = world.movers
-    x = world.x[m] + world.vx[m] * dt
-    y = world.y[m] + world.vy[m] * dt
+    x = world.x[m] + world.vx[m]
+    y = world.y[m] + world.vy[m]
     x_low, x_high, y_low, y_high = x < 0.0, x > width, y < 0.0, y > height
     x = np.where(x_low, -x, np.where(x_high, 2.0 * width - x, x))
     y = np.where(y_low, -y, np.where(y_high, 2.0 * height - y, y))
@@ -422,7 +420,8 @@ def world_to_dict(world: World) -> dict:
 
 def world_from_dict(doc: dict) -> World:
     """The world :func:`world_to_dict` wrote; raises ValueError naming a
-    missing key or a value of the wrong type."""
+    missing key, a value of the wrong type, or an obstacle with a value that
+    is not finite or a radius that is not positive."""
     try:
         sd = doc["spec"]
         spec = WorldSpec(
@@ -439,7 +438,11 @@ def world_from_dict(doc: dict) -> World:
         raise ValueError(f"missing key {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"not a world document: {exc}") from exc
-    return World(spec, *np.array(rows, dtype=np.float64).reshape(-1, 6).T)
+    cols = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    bad = np.flatnonzero(~np.isfinite(cols).all(axis=1) | ~(cols[:, 2] > 0))
+    if len(bad):
+        raise ValueError(f"obstacle {bad[0]} has a value that is not finite or a radius <= 0")
+    return World(spec, *cols.T)
 
 
 def save_world(world: World, path) -> None:

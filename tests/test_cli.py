@@ -288,9 +288,14 @@ class TestTrain:
         (json.dumps({**SMALL_WORLD_DOC,
                      "spec": {**SMALL_WORLD_DOC["spec"], "obstacle_density": float("nan")}}),
          "obstacle density must be finite and non-negative"),
+        *[(json.dumps({**SMALL_WORLD_DOC, "obstacles": [{"x": 3.5, "y": 3.5, "r": 0.3},
+                                                        {"x": 5.5, "y": 3.5, "r": 0.3, **bad}]}),
+           "obstacle 1 has a value that is not finite or a radius <= 0")
+          for bad in ({"x": float("nan")}, {"r": -2}, {"r": float("inf")})],
     ], ids=["missing-file", "not-json", "obstacle-without-x", "zero-width", "json-list",
             "obstacle-not-object", "obstacles-not-list", "spec-not-object", "null-x",
-            "null-width", "negative-seed", "nan-density"])
+            "null-width", "negative-seed", "nan-density", "nan-x", "negative-radius",
+            "infinite-radius"])
     def test_bad_world_file_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "world.json"
         if text is not None:
@@ -395,6 +400,22 @@ class TestEvaluate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["param/head_b", "adam_m/conv1_k", "adam_v/map_slope"])
+    def test_checkpoint_with_a_value_that_is_not_finite_is_a_usage_error(
+            self, tmp_path, capsys, trained_tiny, key):
+        with np.load(trained_tiny) as data:
+            arrays = dict(data)
+        arrays[key] = arrays[key].copy()
+        arrays[key].reshape(-1)[0] = np.nan
+        broken = tmp_path / "broken.npz"
+        np.savez(broken, **arrays)
+        out = tmp_path / "o"
+        code = run_cli("evaluate", "--config", write_config(tmp_path / "cfg", **EVAL_KEYS),
+                       "--checkpoint", str(broken), "--missions", "1,1:8,8", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert f"{key!r} holds a value that is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_with_other_adam_constants_is_a_usage_error(
             self, tmp_path, capsys, trained_tiny):
         with np.load(trained_tiny) as data:
@@ -464,6 +485,19 @@ class TestEvaluate:
         rows = (out / "missions.csv").read_text().splitlines()
         assert len(rows) == 2
         assert (out / "route_M1.svg").exists()
+
+    def test_one_mission_from_rows_alone_takes_the_default_columns(
+            self, tmp_path, monkeypatch, trained_tiny):
+        """Without missions, ``start_row`` and ``goal_row`` name one mission
+        whose columns default as ``train``'s do."""
+        flown = []
+        monkeypatch.setattr(cli, "run_mission",
+                            lambda spec, agent: flown.append(spec) or run_mission(spec, agent))
+        cfg = write_config(tmp_path / "cfg", **EVAL_KEYS, start_row=2, goal_row=9)
+        code = run_cli("evaluate", "--config", cfg, "--checkpoint", str(trained_tiny),
+                       "--out", str(tmp_path / "o"))
+        assert code == EXIT_OK
+        assert [(s.start, s.goal) for s in flown] == [((2, 1), (9, 8))]
 
     def test_weather_flags_reach_the_report(self, tmp_path, trained_tiny):
         cfg = write_config(tmp_path / "cfg", **EVAL_KEYS)

@@ -206,26 +206,29 @@ class TestPooledTrunk:
 def per_position_trunk(net, frames, drop_mask, want_cache):
     """The trunk with no frame shared: every position's conv stack runs in
     its ``_CHUNK``-row chunk from the front, one chunk at a time at one BLAS
-    thread, with the caches :func:`nn.backward` reads."""
+    thread; its record keeps every position's stages, under an identity
+    index."""
     p = net.params
-    imgs, caches = [], []
+    imgs, chunk_stages, caches = [], [], []
     with pool.one_blas_thread():
         for s in range(0, len(frames), _CHUNK):
             act = frames[s : s + _CHUNK][..., None]
             stages = []
             for n in range(1, len(net.arch.conv_channels) + 1):
                 conv, _ = layers.conv2d_forward(act, p[f"conv{n}_k"], p[f"conv{n}_b"])
-                pooled, pool_cache = layers.maxpool2_forward(np.maximum(conv, 0))
-                stages.append((act, pool_cache))
-                act = pooled
+                act, (_, idx) = layers.maxpool2_forward(np.maximum(conv, 0))
+                stages.append((act, idx))
+            chunk_stages.append(stages)
             flat = act.reshape(len(act), -1)
             drop = drop_mask[s : s + _CHUNK] if drop_mask is not None else None
             a1, md1 = layers.relu_forward(model._dense_rows(flat, p["dense1_w"], p["dense1_b"]))
             a1d = a1 * drop if drop is not None else a1
             img, md2 = layers.relu_forward(model._dense_rows(a1d, p["dense2_w"], p["dense2_b"]))
             imgs.append(img)
-            caches.append((stages, flat, md1, drop, a1d, md2) if want_cache else None)
-    return np.concatenate(imgs), caches
+            caches.append((flat, md1, drop, a1d, md2) if want_cache else None)
+    stages = [tuple(np.concatenate(parts) for parts in zip(*stage))
+              for stage in zip(*chunk_stages)]
+    return np.concatenate(imgs), (frames, stages, np.arange(len(frames))), caches
 
 
 class TestDistinctFrames:
@@ -241,6 +244,8 @@ class TestDistinctFrames:
         "repeats": [0, 1, 0, 2, 2, 2, 3, 1, 0],
         "repeats_moved": [2, 0, 1, 3, 0, 2, 0, 1, 2],  # the same multiset
     }
+    #: three traces of four steps: repeats within a trace and across traces
+    RECURRENT = [0, 0, 1, 1, 2, 3, 3, 3, 0, 4, 4, 1]
 
     @staticmethod
     def q_and_grads(net, frames, rasters, dropout_seed):
@@ -269,9 +274,26 @@ class TestDistinctFrames:
         arch = nn.ArchitectureSpec(recurrent=True)
         net = nn.init_network(arch, seed=9)
         frames, rasters = rand_inputs(arch, 12, seed=9, dtype=np.float32)
-        # three traces of four steps: repeats within a trace and across traces
-        frames = frames[[0, 0, 1, 1, 2, 3, 3, 3, 0, 4, 4, 1], 0].reshape(3, 4, *frames.shape[-2:])
+        frames = frames[self.RECURRENT, 0].reshape(3, 4, *frames.shape[-2:])
         self.assert_matches_per_position(monkeypatch, net, frames, rasters.reshape(3, 4, -1))
+
+    @pytest.mark.parametrize("layout", [*LAYOUTS, "recurrent"])
+    def test_the_record_holds_one_row_per_distinct_frame(self, tiny_arch, tiny_recurrent_arch,
+                                                         layout):
+        if layout == "recurrent":
+            arch, shown, lead = tiny_recurrent_arch, self.RECURRENT, (3, 4)
+        else:
+            arch, shown, lead = tiny_arch, self.LAYOUTS[layout], (9, 1)
+        net = nn.init_network(arch, seed=3)
+        frames, rasters = rand_inputs(arch, len(shown), seed=3, dtype=np.float32)
+        frames = frames[shown, 0].reshape(*lead, *frames.shape[-2:])
+        _, ((record, *_), _) = nn.forward_cached(net, frames, rasters.reshape(*lead, -1),
+                                                 dropout_seed=2)
+        distinct, stages, inverse = record
+        assert len(distinct) == len(set(shown))
+        assert len(stages) == len(arch.conv_channels)
+        assert {len(a) for stage in stages for a in stage} == {len(distinct)}
+        assert distinct[inverse].tobytes() == model._time_major(frames).tobytes()
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_the_conv_stack_runs_once_per_distinct_frame(self, monkeypatch, tiny_arch, layout):

@@ -189,7 +189,7 @@ class TestGeneration:
         world = make_world([*statics, Disc(x=9.0, y=9.0, vy=-0.5)],
                            domain=Domain.SAVANNA, dynamic=1)
         assert world.has_dynamics
-        assert step_dynamics(world, 1.0).has_dynamics
+        assert step_dynamics(world).has_dynamics
 
     def test_columns_are_read_only_copies(self):
         spec = WorldSpec(domain=Domain.SAVANNA, width_m=20, height_m=20,
@@ -198,7 +198,7 @@ class TestGeneration:
         built = World(spec, *given)
         given[0][0] = 9.0
         assert built.x.tolist() == [3.0, 4.0]
-        for world in (built, generate_world(spec), step_dynamics(generate_world(spec), 1.0)):
+        for world in (built, generate_world(spec), step_dynamics(generate_world(spec))):
             for name in COLUMNS:
                 column = getattr(world, name)
                 assert column.dtype == np.float64 and column.shape == (len(world),)
@@ -325,7 +325,7 @@ class TestRenderer:
         rng = np.random.default_rng(6)
         world = random_world(rng, 40, 40, 150, movers=30)
         for step in range(20):
-            world = step_dynamics(world, 1.0)
+            world = step_dynamics(world)
             agent = GridCoord(int(rng.integers(0, 40)), int(rng.integers(0, 40)))
             facing = Action(step % 4)
             assert render_frame(world, agent, facing).tobytes() == \
@@ -425,33 +425,29 @@ class TestWeather:
 class TestDynamics:
     def test_static_world_unchanged(self):
         world = make_world([Disc(x=3.0, y=3.0)])
-        assert step_dynamics(world, 1.0) is world
+        assert step_dynamics(world) is world
 
     def test_mover_advances_linearly(self):
         world = make_world([Disc(x=10.0, y=10.0, vx=1.0, vy=0.0)],
                            domain=Domain.SAVANNA, dynamic=1)
-        stepped = step_dynamics(world, 1.0)
+        stepped = step_dynamics(world)
         assert stepped.x[0] == pytest.approx(11.0)
         assert stepped.y[0] == pytest.approx(10.0)
 
     def test_reflection_at_boundary(self):
         world = make_world([Disc(x=19.5, y=10.0, vx=1.0, vy=0.0)],
                            domain=Domain.SAVANNA, dynamic=1)
-        stepped = step_dynamics(world, 1.0)
+        stepped = step_dynamics(world)
         assert stepped.x[0] == pytest.approx(19.5)
         assert stepped.vx[0] == pytest.approx(-1.0)
 
     def test_a_step_leaves_its_input_world_unchanged(self):
         world = random_world(np.random.default_rng(7), 20, 20, 40, movers=10)
         before = {name: getattr(world, name).copy() for name in COLUMNS}
-        stepped = step_dynamics(world, 1.0)
+        stepped = step_dynamics(world)
         assert not np.array_equal(stepped.x, world.x)
         for name in COLUMNS:
             assert getattr(world, name).tobytes() == before[name].tobytes(), name
-
-    def test_bad_dt_rejected(self):
-        with pytest.raises(ValueError):
-            step_dynamics(make_world([]), 0.0)
 
 
 class TestSerialization:
